@@ -3,6 +3,9 @@
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
+#include <map>
+#include <mutex>
+#include <span>
 
 #include "designs/cpu.h"
 #include "designs/ooo.h"
@@ -104,22 +107,15 @@ goldenRun(const CorpusProgram &prog, const std::vector<uint32_t> &image)
     return gold;
 }
 
-/** The architectural-state handles shared by both CPU designs. */
-struct Handles {
-    const RegArray *mem = nullptr;
-    const RegArray *rf = nullptr;
-    const RegArray *retired = nullptr;
-    const RegArray *ret_pc = nullptr;
-};
-
 /**
  * The per-cycle diffing state driven from a post-cycle hook. Templated
  * over the backend (sim::Simulator / rtl::NetlistSim share the read
- * surface but not a base class).
+ * surface but not a base class). DUT state is read through arrayView,
+ * one span per array per cycle rather than one call per word.
  */
 template <typename SimT> struct Lockstep {
     SimT *sim = nullptr;
-    Handles h;
+    const CompiledCore *dut = nullptr;
     const GoldenTrace *gold = nullptr;
     isa::Iss iss;                  ///< stepped once per DUT retirement
     std::vector<uint32_t> shadow;  ///< last-seen copy of DUT memory
@@ -129,9 +125,9 @@ template <typename SimT> struct Lockstep {
     size_t max_deltas = 8;
     std::optional<Divergence> div; ///< first divergence only
 
-    Lockstep(SimT *s, Handles handles, const GoldenTrace *g,
+    Lockstep(SimT *s, const CompiledCore *d, const GoldenTrace *g,
              std::vector<uint32_t> image, size_t cap)
-        : sim(s), h(handles), gold(g), iss(std::move(image)),
+        : sim(s), dut(d), gold(g), iss(std::move(image)),
           shadow(iss.memory()), max_deltas(cap)
     {
     }
@@ -160,8 +156,9 @@ template <typename SimT> struct Lockstep {
     void
     scanMemory(uint64_t cycle)
     {
+        std::span<const uint64_t> mem = sim->arrayView(dut->mem);
         for (size_t w = 0; w < shadow.size(); ++w) {
-            uint64_t now = sim->readArray(h.mem, w);
+            uint64_t now = mem[w];
             if (now == shadow[w])
                 continue;
             bool expected = store_cursor < gold->stores.size() &&
@@ -184,7 +181,7 @@ template <typename SimT> struct Lockstep {
     void
     checkRetirements(uint64_t cycle)
     {
-        uint64_t now_retired = sim->readArray(h.retired, 0);
+        uint64_t now_retired = sim->arrayView(dut->retired)[0];
         while (seen_retired < now_retired && !div) {
             ++seen_retired;
             ++retirement;
@@ -200,19 +197,19 @@ template <typename SimT> struct Lockstep {
             // applies to the final retirement of the cycle (both cores
             // are 1-wide; the loop body runs once per cycle in practice).
             if (seen_retired == now_retired) {
-                uint64_t dut_pc = sim->readArray(h.ret_pc, 0);
+                uint64_t dut_pc = sim->arrayView(dut->ret_pc)[0];
                 if (dut_pc != si.pc) {
                     diverge(cycle, "pc", si.pc,
                             {{"pc", 0, si.pc, dut_pc}});
                     return;
                 }
             }
+            std::span<const uint64_t> rf = sim->arrayView(dut->rf);
             std::vector<StateDelta> regs;
             for (unsigned i = 0; i < 32; ++i) {
-                uint64_t dut = sim->readArray(h.rf, i);
                 uint64_t want = iss.reg(i);
-                if (dut != want)
-                    regs.push_back({"reg", i, want, dut});
+                if (rf[i] != want)
+                    regs.push_back({"reg", i, want, rf[i]});
             }
             if (!regs.empty())
                 diverge(cycle, "reg", si.pc, std::move(regs));
@@ -282,8 +279,9 @@ template <typename SimT> struct Lockstep {
                   gold->stores.size());
         for (uint64_t i = 0; i < retirement && !iss.stats().halted; ++i)
             iss.stepOne();
+        std::span<const uint64_t> mem = sim->arrayView(dut->mem);
         for (size_t w = 0; w < shadow.size(); ++w)
-            shadow[w] = uint32_t(sim->readArray(h.mem, w));
+            shadow[w] = uint32_t(mem[w]);
         if (r.flag()) {
             Divergence d;
             d.retirement = r.u64();
@@ -315,27 +313,25 @@ template <typename SimT>
 void
 finalStateCheck(Lockstep<SimT> &ls, Verdict &v)
 {
+    std::span<const uint64_t> mem = ls.sim->arrayView(ls.dut->mem);
+    std::span<const uint64_t> rf = ls.sim->arrayView(ls.dut->rf);
     std::vector<StateDelta> deltas;
     if (ls.retirement != ls.gold->retired)
         deltas.push_back({"retired", 0, ls.gold->retired, ls.retirement});
     if (ls.store_cursor != ls.gold->stores.size()) {
         const auto &missing = ls.gold->stores[ls.store_cursor];
         deltas.push_back({"mem", uint64_t(missing.word) * 4, missing.value,
-                          ls.sim->readArray(ls.h.mem, missing.word)});
+                          mem[missing.word]});
     }
-    for (unsigned i = 0; i < 32 && deltas.size() < ls.max_deltas; ++i) {
-        uint64_t dut = ls.sim->readArray(ls.h.rf, i);
-        if (dut != ls.gold->regs[i])
-            deltas.push_back({"reg", i, ls.gold->regs[i], dut});
-    }
+    for (unsigned i = 0; i < 32 && deltas.size() < ls.max_deltas; ++i)
+        if (rf[i] != ls.gold->regs[i])
+            deltas.push_back({"reg", i, ls.gold->regs[i], rf[i]});
     for (size_t w = 0; w < ls.gold->memory.size() &&
                        deltas.size() < ls.max_deltas;
-         ++w) {
-        uint64_t dut = ls.sim->readArray(ls.h.mem, w);
-        if (dut != ls.gold->memory[w])
+         ++w)
+        if (mem[w] != ls.gold->memory[w])
             deltas.push_back({"mem", uint64_t(w) * 4, ls.gold->memory[w],
-                              dut});
-    }
+                              mem[w]});
     if (deltas.empty())
         return;
     if (deltas.size() > ls.max_deltas)
@@ -353,21 +349,28 @@ finalStateCheck(Lockstep<SimT> &ls, Verdict &v)
 /** The engine-generic grade: attach, run, classify. */
 template <typename SimT>
 Verdict
-runGrade(const CorpusProgram &prog, Core core, SimT &sim,
-         const System &sys, const Handles &h, const GoldenTrace &gold,
-         const std::vector<uint32_t> &image, const GradeOptions &opts)
+runGrade(const CorpusProgram &prog, SimT &sim, const CompiledCore &dut,
+         const GoldenTrace &gold, const std::vector<uint32_t> &image,
+         const GradeOptions &opts)
 {
     Verdict v;
     v.program = prog.name;
-    v.core = core;
+    v.core = dut.core;
     v.golden_retired = gold.retired;
 
-    Lockstep<SimT> ls(&sim, h, &gold, image, opts.max_deltas);
+    // Load the program where the compiled image differs (everywhere it
+    // is nonzero, on a shared core), before any restore() below.
+    const std::vector<uint64_t> &init = dut.mem->init();
+    for (size_t w = 0; w < image.size(); ++w)
+        if (image[w] != init[w])
+            sim.writeArray(dut.mem, w, image[w]);
+
+    Lockstep<SimT> ls(&sim, &dut, &gold, image, opts.max_deltas);
     sim.addPostCycleHook([&ls](uint64_t cycle) { ls.onCycle(cycle); });
 
     std::optional<sim::FaultInjector> inj;
     if (opts.fault) {
-        inj.emplace(sys, *opts.fault);
+        inj.emplace(*dut.sys, *opts.fault);
         inj->attach(sim);
     }
 
@@ -425,28 +428,6 @@ runGrade(const CorpusProgram &prog, Core core, SimT &sim,
     return v;
 }
 
-/** Build the requested core over @p image; handles are design-agnostic. */
-struct BuiltDesign {
-    std::unique_ptr<System> sys;
-    Handles h;
-};
-
-BuiltDesign
-buildCore(Core core, const std::vector<uint32_t> &image)
-{
-    BuiltDesign out;
-    if (core == Core::kInOrder) {
-        auto d = designs::buildCpu(designs::BranchPolicy::kTaken, image);
-        out.h = {d.mem, d.rf, d.retired, d.ret_pc};
-        out.sys = std::move(d.sys);
-    } else {
-        auto d = designs::buildOoo(image);
-        out.h = {d.mem, d.rf, d.retired, d.ret_pc};
-        out.sys = std::move(d.sys);
-    }
-    return out;
-}
-
 void
 writeVerdict(JsonWriter &w, const Verdict &v)
 {
@@ -501,13 +482,50 @@ writeVerdict(JsonWriter &w, const Verdict &v)
 
 } // namespace
 
+std::unique_ptr<const CompiledCore>
+compileCore(Core core, const std::vector<uint32_t> &image)
+{
+    auto out = std::make_unique<CompiledCore>();
+    out->core = core;
+    auto take = [&](auto design) {
+        out->mem = design.mem;
+        out->rf = design.rf;
+        out->retired = design.retired;
+        out->ret_pc = design.ret_pc;
+        out->sys = std::move(design.sys);
+    };
+    if (core == Core::kInOrder)
+        take(designs::buildCpu(designs::BranchPolicy::kTaken, image));
+    else
+        take(designs::buildOoo(image));
+    out->program = sim::Program::compile(*out->sys);
+    out->netlist = std::make_unique<const rtl::Netlist>(*out->sys);
+    return out;
+}
+
+const CompiledCore &
+sharedCore(Core core, uint32_t mem_words)
+{
+    static std::mutex mu;
+    static std::map<std::pair<Core, uint32_t>,
+                    std::unique_ptr<const CompiledCore>>
+        cores;
+    std::lock_guard<std::mutex> lock(mu);
+    std::unique_ptr<const CompiledCore> &slot = cores[{core, mem_words}];
+    if (!slot)
+        slot = compileCore(core, std::vector<uint32_t>(mem_words, 0));
+    return *slot;
+}
+
 Verdict
-gradeProgram(const CorpusProgram &program, Core core, Engine engine,
-             const GradeOptions &opts)
+gradeOn(const CompiledCore &dut, const CorpusProgram &program,
+        Engine engine, const GradeOptions &opts)
 {
     std::vector<uint32_t> image = program.image();
+    if (image.size() != dut.mem->size())
+        fatal("grader: '", program.name, "' needs ", image.size(),
+              " memory words, the compiled core has ", dut.mem->size());
     GoldenTrace gold = goldenRun(program, image);
-    BuiltDesign design = buildCore(core, image);
 
     if (engine == Engine::kEvent) {
         sim::SimOptions so;
@@ -515,17 +533,22 @@ gradeProgram(const CorpusProgram &program, Core core, Engine engine,
         so.shuffle = opts.shuffle;
         so.shuffle_seed = opts.shuffle_seed;
         so.timeline_path = opts.timeline_path;
-        sim::Simulator sim(*design.sys, so);
-        return runGrade(program, core, sim, *design.sys, design.h, gold,
-                        image, opts);
+        sim::Simulator sim(dut.program, so);
+        return runGrade(program, sim, dut, gold, image, opts);
     }
     rtl::NetlistSimOptions no;
     no.capture_logs = false;
     no.timeline_path = opts.timeline_path;
-    rtl::Netlist nl(*design.sys);
-    rtl::NetlistSim sim(nl, no);
-    return runGrade(program, core, sim, *design.sys, design.h, gold,
-                    image, opts);
+    rtl::NetlistSim sim(*dut.netlist, no);
+    return runGrade(program, sim, dut, gold, image, opts);
+}
+
+Verdict
+gradeProgram(const CorpusProgram &program, Core core, Engine engine,
+             const GradeOptions &opts)
+{
+    return gradeOn(sharedCore(core, program.mem_words), program, engine,
+                   opts);
 }
 
 std::string

@@ -31,12 +31,15 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "grader/corpus.h"
+#include "rtl/netlist.h"
 #include "sim/fault.h"
+#include "sim/program.h"
 
 namespace assassyn {
 namespace grader {
@@ -136,7 +139,50 @@ struct GradeOptions {
     std::string resume_from;
 };
 
-/** Grade one program on one core under one engine. */
+/**
+ * One core built and compiled for both engines: the lowered System, the
+ * architectural state the grader diffs, the event engine's Program and
+ * the netlist. Immutable once built, so concurrent grades share it.
+ * Only the engine constructors read `mem`'s initial values, so a core
+ * compiled for one memory size serves every program of that size.
+ */
+struct CompiledCore {
+    Core core = Core::kInOrder;
+    std::unique_ptr<System> sys;
+    const RegArray *mem = nullptr;
+    const RegArray *rf = nullptr;
+    const RegArray *retired = nullptr;
+    const RegArray *ret_pc = nullptr;
+    std::shared_ptr<const sim::Program> program;
+    std::unique_ptr<const rtl::Netlist> netlist;
+};
+
+/** Build @p core over @p image and compile it for both engines. */
+std::unique_ptr<const CompiledCore>
+compileCore(Core core, const std::vector<uint32_t> &image);
+
+/**
+ * The process-wide CompiledCore for (@p core, @p mem_words), compiled
+ * over a zero image on first use and kept for the life of the process.
+ * Thread-safe: concurrent first uses compile it once.
+ */
+const CompiledCore &sharedCore(Core core, uint32_t mem_words);
+
+/**
+ * Grade one program on a given compiled core under one engine. Each
+ * word where the program's image differs from `mem`'s compiled initial
+ * value is loaded with a writeArray poke before the run and before any
+ * resume restore(), so the result does not depend on which image the
+ * core was compiled over (tests/grader_shared_core_test.cc).
+ */
+Verdict gradeOn(const CompiledCore &dut, const CorpusProgram &program,
+                Engine engine, const GradeOptions &opts = {});
+
+/**
+ * Grade one program on one core under one engine: gradeOn() over
+ * sharedCore(core, program.mem_words), so a process builds and compiles
+ * each core once per memory size, not once per grade.
+ */
 Verdict gradeProgram(const CorpusProgram &program, Core core,
                      Engine engine, const GradeOptions &opts = {});
 

@@ -553,7 +553,7 @@ Netlist::finalize()
     cells_ = std::move(order);
 }
 
-Netlist::Netlist(const System &sys) : sys_(&sys)
+Netlist::Netlist(const System &sys) : sys_(&sys), analyzer_(sys)
 {
     NetlistBuilder builder(sys, *this);
     builder.build();

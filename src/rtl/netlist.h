@@ -41,6 +41,7 @@
 #include <vector>
 
 #include "core/ir/system.h"
+#include "sim/hazard.h"
 
 namespace assassyn {
 namespace rtl {
@@ -213,6 +214,13 @@ class Netlist {
      */
     const std::vector<Cone> &cones() const { return cones_; }
 
+    /**
+     * The watchdog's wait-for analysis of the design, built once at
+     * elaboration (as sim::Program::analyzer() is at compile), so that
+     * constructing a NetlistSim walks no IR.
+     */
+    const sim::HazardAnalyzer &analyzer() const { return analyzer_; }
+
   private:
     friend class NetlistBuilder;
     friend class NetlistTestPeer; ///< cycle-injection hooks for tests
@@ -225,6 +233,7 @@ class Netlist {
     void finalize();
 
     const System *sys_;
+    sim::HazardAnalyzer analyzer_;
     std::vector<unsigned> net_bits_;
     std::vector<std::string> net_names_;
     std::map<uint32_t, uint64_t> consts_;

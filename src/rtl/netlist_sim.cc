@@ -62,7 +62,8 @@ struct NetlistSim::Impl {
 
     // Hazard watchdog, shared with the event-driven simulator so the
     // wait-for-graph diagnosis renders byte-identically on both backends.
-    sim::HazardAnalyzer analyzer;
+    // Built once by the Netlist; construction here walks no IR.
+    const sim::HazardAnalyzer &analyzer;
 
     std::vector<uint64_t> nets;
     std::vector<FifoRt> fifos;
@@ -104,7 +105,7 @@ struct NetlistSim::Impl {
     std::unique_ptr<sim::TraceRecorder> recorder;
 
     Impl(const Netlist &n, NetlistSimOptions o)
-        : nl(n), opts(o), analyzer(n.sys())
+        : nl(n), opts(o), analyzer(n.analyzer())
     {
         // Interned from the shared System IR (never from netlist-private
         // FIFO indices), so the emitted file is byte-identical to the
@@ -570,8 +571,20 @@ NetlistSim::NetlistSim(const Netlist &nl, NetlistSimOptions opts)
     : impl_(std::make_unique<Impl>(nl, opts))
 {}
 
+namespace {
+
+NetlistSimOptions
+logOptions(bool capture_logs)
+{
+    NetlistSimOptions opts;
+    opts.capture_logs = capture_logs;
+    return opts;
+}
+
+} // namespace
+
 NetlistSim::NetlistSim(const Netlist &nl, bool capture_logs)
-    : NetlistSim(nl, NetlistSimOptions{capture_logs, 255, false})
+    : NetlistSim(nl, logOptions(capture_logs))
 {}
 
 NetlistSim::~NetlistSim() = default;
@@ -637,6 +650,12 @@ NetlistSim::readArray(const RegArray *array, size_t index) const
     if (index >= data.size())
         fatal("readArray: index out of range for '", array->name(), "'");
     return data[index];
+}
+
+std::span<const uint64_t>
+NetlistSim::arrayView(const RegArray *array) const
+{
+    return impl_->arrays.at(array->id());
 }
 
 void

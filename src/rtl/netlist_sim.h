@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -99,6 +100,16 @@ class NetlistSim {
     uint64_t cycle() const;
 
     uint64_t readArray(const RegArray *array, size_t index) const;
+
+    /**
+     * Every element of a register array at once: the bulk form of
+     * readArray, with the same contract (read it between run() calls or
+     * from a cycle hook). The span aliases the engine's live storage, so
+     * it reflects later commits, pokes and restore()s, and stays valid
+     * for the engine's lifetime. Element for element equal to
+     * sim::Simulator::arrayView at the same cycle.
+     */
+    std::span<const uint64_t> arrayView(const RegArray *array) const;
     void writeArray(const RegArray *array, size_t index, uint64_t value);
 
     /** Current number of entries in a port's FIFO. */

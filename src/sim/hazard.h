@@ -19,7 +19,9 @@
  *    why (the stall-reason vocabulary of the event trace), and which
  *    FIFO / producer it is waiting on;
  *  - HazardAnalyzer: the shared analysis, built once from the lowered
- *    System, that both backends query with their own state accessors.
+ *    System by each compiled artifact (sim::Program::analyzer(),
+ *    rtl::Netlist::analyzer()), that both backends query with their
+ *    own state accessors.
  *    Because it walks the same IR in the same deterministic order, the
  *    rendered report is byte-identical across backends — the alignment
  *    guarantee extended to failure diagnostics.

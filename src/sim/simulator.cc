@@ -1289,6 +1289,13 @@ Simulator::readArray(const RegArray *array, size_t index) const
     return impl_->arr_arena[arr.base + index];
 }
 
+std::span<const uint64_t>
+Simulator::arrayView(const RegArray *array) const
+{
+    const ArrState &arr = impl_->arrays.at(array->id());
+    return {impl_->arr_arena.data() + arr.base, arr.size};
+}
+
 void
 Simulator::writeArray(const RegArray *array, size_t index, uint64_t value)
 {

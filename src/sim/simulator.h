@@ -35,6 +35,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -188,6 +189,16 @@ class Simulator {
 
     /** Read one element of a register array. */
     uint64_t readArray(const RegArray *array, size_t index) const;
+
+    /**
+     * Every element of a register array at once: the bulk form of
+     * readArray, with the same contract (read it between run() calls or
+     * from a cycle hook). The span aliases the engine's live storage, so
+     * it reflects later commits, pokes and restore()s, and stays valid
+     * for the engine's lifetime. Element for element equal to
+     * rtl::NetlistSim::arrayView at the same cycle.
+     */
+    std::span<const uint64_t> arrayView(const RegArray *array) const;
 
     /** Overwrite one element of a register array (testbench poke). */
     void writeArray(const RegArray *array, size_t index, uint64_t value);

@@ -11,8 +11,11 @@
  * stall traces; distinct seeds must match their serial-run outputs
  * exactly; sweep results must be independent of worker count; and
  * independent Systems must elaborate concurrently to byte-identical
- * Verilog. Run under ASSASSYN_SANITIZE=thread (README build matrix)
- * these tests double as a data-race hunt.
+ * Verilog. The grader's shared compiled cores (grader/grader.h) are
+ * raced the same way: a corpus graded by 4 workers from a cold cache
+ * must report exactly what 1 worker reports, with fault plans and
+ * timelines too. Run under ASSASSYN_SANITIZE=thread (README build
+ * matrix) these tests double as a data-race hunt.
  */
 #include <gtest/gtest.h>
 
@@ -27,6 +30,8 @@
 
 #include "core/compiler/pass.h"
 #include "core/dsl/builder.h"
+#include "grader/corpus.h"
+#include "grader/grader.h"
 #include "rtl/netlist.h"
 #include "rtl/netlist_sim.h"
 #include "rtl/verilog.h"
@@ -342,6 +347,122 @@ TEST(ParallelDeterminismTest, WarningsDoNotInterleaveAcrossThreads)
     }
     EXPECT_EQ(lines, kThreads * kPerThread);
     std::remove(path.c_str());
+}
+
+/**
+ * The corpus re-sized to @p mem_words words, a memory size no other
+ * test of this binary grades at, so its shared cores start cold.
+ */
+std::vector<grader::CorpusProgram>
+corpusAt(uint32_t mem_words)
+{
+    std::vector<grader::CorpusProgram> programs = grader::loadCorpusDir(
+        std::string(ASSASSYN_SOURCE_DIR) + "/tests/corpus");
+    for (grader::CorpusProgram &prog : programs)
+        prog.mem_words = mem_words;
+    return programs;
+}
+
+/** The report's bytes with each run's wall-clock zeroed. */
+std::string
+reportBytes(grader::GradeReport report)
+{
+    for (grader::GradeRun &run : report.runs)
+        run.seconds = 0.0;
+    return report.toJson("corpus");
+}
+
+const std::vector<grader::Core> kCores = {grader::Core::kInOrder,
+                                          grader::Core::kOoO};
+const std::vector<grader::Engine> kEngines = {grader::Engine::kEvent,
+                                              grader::Engine::kNetlist};
+
+TEST(ParallelDeterminismTest, GradeCorpusOnAColdSharedCoreMatchesSerial)
+{
+    std::vector<grader::CorpusProgram> programs = corpusAt(384);
+    uint64_t before = sim::Program::compileCount();
+    grader::GradeReport parallel =
+        grader::gradeCorpus(programs, kCores, kEngines, {}, 4);
+    EXPECT_EQ(sim::Program::compileCount() - before, kCores.size())
+        << "racing workers must compile each core once";
+    grader::GradeReport serial =
+        grader::gradeCorpus(programs, kCores, kEngines, {}, 1);
+    EXPECT_TRUE(serial.allPass());
+    EXPECT_EQ(reportBytes(parallel), reportBytes(serial));
+}
+
+TEST(ParallelDeterminismTest, FaultedGradeCorpusOnASharedCoreMatchesSerial)
+{
+    grader::GradeOptions opts;
+    sim::FaultSpec spec;
+    spec.seed = 6;
+    spec.count = 2;
+    spec.first_cycle = 20;
+    spec.last_cycle = 60;
+    spec.fifos = false;
+    opts.fault = spec;
+    // Faults that derail control flow run to the cycle budget, so grade
+    // short programs under a tight one.
+    std::vector<grader::CorpusProgram> programs;
+    for (grader::CorpusProgram &prog : corpusAt(448))
+        if (prog.name == "arith" || prog.name == "fib" ||
+            prog.name == "gcd" || prog.name == "nested" ||
+            prog.name == "sort" || prog.name == "stride") {
+            prog.max_cycles = 4000;
+            programs.push_back(prog);
+        }
+    ASSERT_EQ(programs.size(), 6u);
+    grader::GradeReport parallel =
+        grader::gradeCorpus(programs, kCores, kEngines, opts, 4);
+    grader::GradeReport serial =
+        grader::gradeCorpus(programs, kCores, kEngines, opts, 1);
+    EXPECT_FALSE(serial.allPass()) << "the fault plan must bite somewhere";
+    EXPECT_EQ(reportBytes(parallel), reportBytes(serial));
+}
+
+TEST(ParallelDeterminismTest, GradeTimelinesOnASharedCoreMatchSerial)
+{
+    // One timeline file per grade, so the grades run through
+    // parallelFor rather than gradeCorpus (which shares one path).
+    struct Job {
+        grader::CorpusProgram program;
+        grader::Core core;
+        grader::Engine engine;
+    };
+    std::vector<Job> jobs;
+    for (const grader::CorpusProgram &prog : corpusAt(576))
+        if (prog.name == "hazards" || prog.name == "recursion")
+            for (grader::Core core : kCores)
+                for (grader::Engine engine : kEngines)
+                    jobs.push_back({prog, core, engine});
+    ASSERT_EQ(jobs.size(), 8u);
+
+    auto gradeAll = [&](size_t workers, const char *tag) {
+        std::vector<std::string> verdicts(jobs.size()), timelines(jobs.size());
+        sim::parallelFor(
+            jobs.size(),
+            [&](size_t i) {
+                grader::GradeOptions opts;
+                opts.timeline_path = ::testing::TempDir() +
+                                     "grade_timeline_" + tag + "_" +
+                                     std::to_string(i) + ".json";
+                verdicts[i] = grader::gradeProgram(jobs[i].program,
+                                                   jobs[i].core,
+                                                   jobs[i].engine, opts)
+                                  .toJson();
+                timelines[i] = slurp(opts.timeline_path);
+                std::remove(opts.timeline_path.c_str());
+            },
+            workers);
+        return std::make_pair(verdicts, timelines);
+    };
+    auto parallel = gradeAll(4, "par");
+    auto serial = gradeAll(1, "serial");
+    for (size_t i = 0; i < jobs.size(); ++i) {
+        EXPECT_FALSE(serial.second[i].empty()) << "job " << i;
+        EXPECT_EQ(parallel.first[i], serial.first[i]) << "job " << i;
+        EXPECT_EQ(parallel.second[i], serial.second[i]) << "job " << i;
+    }
 }
 
 } // namespace
