@@ -148,7 +148,9 @@ runSweepScaling(bool smoke, uint64_t ckpt_every)
  * of `reps` repetitions with bit-identical metrics required across
  * them, the wake-list scheduler's events_skipped / stages_woken
  * counters per run, and an `oversubscribed` marker on sweep rows whose
- * worker count exceeds the machine's hardware threads.
+ * worker count exceeds the machine's hardware threads. A --smoke run
+ * writes artifacts/BENCH_fig16.smoke.json instead, so the test suite
+ * never touches the tracked root file.
  */
 void
 writeBenchJson(const std::vector<ThroughputRow> &rows,
@@ -218,7 +220,10 @@ writeBenchJson(const std::vector<ThroughputRow> &rows,
     w.endArray();
     w.endObject();
     w.endObject();
-    std::string path = std::string(sourceDir()) + "/BENCH_fig16.json";
+    // Only a full run rewrites the tracked report at the repo root; the
+    // --smoke slice of the perf_smoke test writes a gitignored copy.
+    std::string path = smoke ? artifactsDir() + "/BENCH_fig16.smoke.json"
+                             : std::string(sourceDir()) + "/BENCH_fig16.json";
     FILE *f = std::fopen(path.c_str(), "w");
     if (!f)
         fatal("cannot write '", path, "'");

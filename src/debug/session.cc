@@ -88,11 +88,10 @@ struct BpState {
 };
 
 struct DebugSession::Impl {
-    std::unique_ptr<EngineBackend> be;
+    sim::Engine &eng;
     const System &sys;
     DebugOptions opts;
     std::string engine;
-    StateReader reader;
 
     struct Keyframe {
         uint64_t cycle = 0;
@@ -117,26 +116,15 @@ struct DebugSession::Impl {
 
     const sim::FaultInjector *inj = nullptr;
 
-    Impl(std::unique_ptr<EngineBackend> backend, const System &s,
-         DebugOptions o)
-        : be(std::move(backend)), sys(s), opts(o)
+    Impl(sim::Engine &e, const System &s, DebugOptions o)
+        : eng(e), sys(s), opts(o), engine(e.kind())
     {
-        reader.read_array = [this](const RegArray *a, size_t i) {
-            return be->readArray(a, i);
-        };
-        reader.occupancy = [this](const Port *p) {
-            return be->fifoOccupancy(p);
-        };
-        reader.read_fifo = [this](const Port *p, size_t pos) {
-            return be->readFifo(p, pos);
-        };
         for (const auto &m : sys.modules())
             mods.push_back(m.get());
         last_sc.resize(mods.size());
         refreshStageCounters();
-        base.cycle = be->cycle();
-        base.snap = be->snapshot();
-        engine = base.snap.engine;
+        base.cycle = eng.cycle();
+        base.snap = eng.snapshot();
         ++kf_taken;
     }
 
@@ -144,7 +132,7 @@ struct DebugSession::Impl {
     refreshStageCounters()
     {
         for (size_t i = 0; i < mods.size(); ++i)
-            last_sc[i] = be->stageCounters(mods[i]);
+            last_sc[i] = eng.stageCounters(mods[i]);
     }
 
     // --- Breakpoint machinery ----------------------------------------------
@@ -156,23 +144,23 @@ struct DebugSession::Impl {
         switch (bp.kind) {
           case BpState::Kind::kValueChange:
           case BpState::Kind::kValueEq:
-            return evalValue(bp.value, reader);
+            return evalValue(bp.value, eng);
           case BpState::Kind::kExec:
-            return be->stageCounters(bp.mod).execs;
+            return eng.stageCounters(bp.mod).execs;
           case BpState::Kind::kArrayWrite:
-            return be->arrayWrites(bp.array);
+            return eng.arrayWrites(bp.array);
           case BpState::Kind::kArrayElem:
-            return be->readArray(bp.array, size_t(bp.elem));
+            return eng.readArray(bp.array, size_t(bp.elem));
           case BpState::Kind::kFifoEvent: {
-            sim::FifoTraffic t = be->fifoTraffic(bp.port);
+            sim::FifoTraffic t = eng.fifoTraffic(bp.port);
             return t.pushes + t.pops;
           }
           case BpState::Kind::kFifoPush:
-            return be->fifoTraffic(bp.port).pushes;
+            return eng.fifoTraffic(bp.port).pushes;
           case BpState::Kind::kFifoPop:
-            return be->fifoTraffic(bp.port).pops;
+            return eng.fifoTraffic(bp.port).pops;
           case BpState::Kind::kFifoOverflow:
-            return be->fifoTraffic(bp.port).drops;
+            return eng.fifoTraffic(bp.port).drops;
           case BpState::Kind::kFault:
             return inj ? uint64_t(inj->records().size()) : 0;
           case BpState::Kind::kHazard:
@@ -243,7 +231,7 @@ struct DebugSession::Impl {
     sample(uint64_t c)
     {
         for (size_t i = 0; i < mods.size(); ++i) {
-            sim::StageCounters cur = be->stageCounters(mods[i]);
+            sim::StageCounters cur = eng.stageCounters(mods[i]);
             const sim::StageCounters &old = last_sc[i];
             if (cur.execs == old.execs) {
                 const char *why = nullptr;
@@ -311,7 +299,7 @@ struct DebugSession::Impl {
     {
         if (!opts.keyframe_every || !opts.keyframe_ring)
             return;
-        uint64_t c = be->cycle();
+        uint64_t c = eng.cycle();
         if (c % opts.keyframe_every != 0 || hasKeyframe(c))
             return;
         auto pos = std::lower_bound(
@@ -319,7 +307,7 @@ struct DebugSession::Impl {
             [](const Keyframe &kf, uint64_t v) { return kf.cycle < v; });
         Keyframe kf;
         kf.cycle = c;
-        kf.snap = be->snapshot();
+        kf.snap = eng.snapshot();
         ring.insert(pos, std::move(kf));
         ++kf_taken;
         if (ring.size() > opts.keyframe_ring) {
@@ -357,17 +345,17 @@ struct DebugSession::Impl {
     advance(uint64_t target, bool honor_breaks)
     {
         Stop s;
-        while (be->cycle() < target) {
-            if (be->finished()) {
+        while (eng.cycle() < target) {
+            if (eng.finished()) {
                 s.kind = StopKind::kFinished;
-                s.cycle = be->cycle();
+                s.cycle = eng.cycle();
                 s.what = "finished";
                 return s;
             }
             maybeKeyframe();
-            sim::RunResult r = be->run(1);
+            sim::RunResult r = eng.run(1);
             cycles_run += r.cycles;
-            uint64_t c = be->cycle();
+            uint64_t c = eng.cycle();
             if (r.status == sim::RunStatus::kFault) {
                 s.kind = StopKind::kFault;
                 s.cycle = c;
@@ -390,7 +378,7 @@ struct DebugSession::Impl {
                 s.index = bp;
                 return s;
             }
-            if (be->finished()) {
+            if (eng.finished()) {
                 s.kind = StopKind::kFinished;
                 s.cycle = c;
                 s.what = "finished";
@@ -398,7 +386,7 @@ struct DebugSession::Impl {
             }
         }
         s.kind = StopKind::kCycle;
-        s.cycle = be->cycle();
+        s.cycle = eng.cycle();
         s.what = "cycle reached";
         return s;
     }
@@ -406,7 +394,7 @@ struct DebugSession::Impl {
     Stop
     reverseTo(uint64_t target)
     {
-        uint64_t cur = be->cycle();
+        uint64_t cur = eng.cycle();
         if (target >= cur)
             return advance(target, true);
         if (target < base.cycle)
@@ -417,7 +405,7 @@ struct DebugSession::Impl {
         for (const Keyframe &k : ring)
             if (k.cycle <= target && k.cycle > kf->cycle)
                 kf = &k;
-        be->restore(kf->snap);
+        eng.restore(kf->snap);
         ++kf_restored;
         cycles_reexec += target - kf->cycle;
         truncateHistory(kf->cycle);
@@ -559,9 +547,9 @@ struct DebugSession::Impl {
     }
 };
 
-DebugSession::DebugSession(std::unique_ptr<EngineBackend> backend,
-                           const System &sys, DebugOptions opts)
-    : impl_(new Impl(std::move(backend), sys, opts))
+DebugSession::DebugSession(sim::Engine &engine, const System &sys,
+                           DebugOptions opts)
+    : impl_(new Impl(engine, sys, opts))
 {
 }
 
@@ -570,7 +558,7 @@ DebugSession::~DebugSession() = default;
 Stop
 DebugSession::stepCycles(uint64_t n)
 {
-    return impl_->advance(impl_->be->cycle() + n, true);
+    return impl_->advance(impl_->eng.cycle() + n, true);
 }
 
 Stop
@@ -582,7 +570,7 @@ DebugSession::runTo(uint64_t target)
 Stop
 DebugSession::reverseStep(uint64_t n)
 {
-    uint64_t cur = impl_->be->cycle();
+    uint64_t cur = impl_->eng.cycle();
     uint64_t floor = impl_->base.cycle;
     uint64_t target = cur > n ? cur - n : 0;
     if (target < floor)
@@ -596,8 +584,8 @@ DebugSession::reverseTo(uint64_t target)
     return impl_->reverseTo(target);
 }
 
-uint64_t DebugSession::cycle() const { return impl_->be->cycle(); }
-bool DebugSession::finished() const { return impl_->be->finished(); }
+uint64_t DebugSession::cycle() const { return impl_->eng.cycle(); }
+bool DebugSession::finished() const { return impl_->eng.finished(); }
 const std::string &DebugSession::engine() const { return impl_->engine; }
 
 int
@@ -645,23 +633,23 @@ DebugSession::watchFaults(const sim::FaultInjector *injector)
 uint64_t
 DebugSession::read(const std::string &name) const
 {
-    return evalValue(impl_->resolveValue(name), impl_->reader);
+    return evalValue(impl_->resolveValue(name), impl_->eng);
 }
 
 uint64_t
 DebugSession::readValue(const Value *value) const
 {
-    return evalValue(value, impl_->reader);
+    return evalValue(value, impl_->eng);
 }
 
 std::vector<uint64_t>
 DebugSession::fifoContents(const Port *port) const
 {
     std::vector<uint64_t> out;
-    uint64_t occ = impl_->be->fifoOccupancy(port);
+    uint64_t occ = impl_->eng.fifoOccupancy(port);
     out.reserve(size_t(occ));
     for (uint64_t i = 0; i < occ; ++i)
-        out.push_back(impl_->be->readFifo(port, size_t(i)));
+        out.push_back(impl_->eng.readFifo(port, size_t(i)));
     return out;
 }
 
@@ -677,7 +665,7 @@ DebugSession::arraySlice(const RegArray *array, size_t lo,
 {
     std::vector<uint64_t> out;
     for (size_t i = lo; i < array->size() && i < lo + n; ++i)
-        out.push_back(impl_->be->readArray(array, i));
+        out.push_back(impl_->eng.readArray(array, i));
     return out;
 }
 
@@ -699,13 +687,13 @@ DebugSession::stallReasons(size_t n) const
 sim::MetricsRegistry
 DebugSession::metrics() const
 {
-    return impl_->be->metrics();
+    return impl_->eng.metrics();
 }
 
 const std::vector<std::string> &
 DebugSession::logOutput() const
 {
-    return impl_->be->logOutput();
+    return impl_->eng.logOutput();
 }
 
 const Value *
@@ -757,9 +745,9 @@ DebugSession::summaryJson() const
     w.key("engine");
     w.value(im.engine);
     w.key("cycle");
-    w.value(im.be->cycle());
+    w.value(im.eng.cycle());
     w.key("finished");
-    w.value(im.be->finished());
+    w.value(im.eng.finished());
     w.key("keyframe_every");
     w.value(im.opts.keyframe_every);
     w.key("keyframe_ring");

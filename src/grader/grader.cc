@@ -108,13 +108,12 @@ goldenRun(const CorpusProgram &prog, const std::vector<uint32_t> &image)
 }
 
 /**
- * The per-cycle diffing state driven from a post-cycle hook. Templated
- * over the backend (sim::Simulator / rtl::NetlistSim share the read
- * surface but not a base class). DUT state is read through arrayView,
- * one span per array per cycle rather than one call per word.
+ * The per-cycle diffing state driven from a post-cycle hook on either
+ * engine. DUT state is read through arrayView, one span per array per
+ * cycle rather than one call per word.
  */
-template <typename SimT> struct Lockstep {
-    SimT *sim = nullptr;
+struct Lockstep {
+    sim::Engine *sim = nullptr;
     const CompiledCore *dut = nullptr;
     const GoldenTrace *gold = nullptr;
     isa::Iss iss;                  ///< stepped once per DUT retirement
@@ -125,7 +124,7 @@ template <typename SimT> struct Lockstep {
     size_t max_deltas = 8;
     std::optional<Divergence> div; ///< first divergence only
 
-    Lockstep(SimT *s, const CompiledCore *d, const GoldenTrace *g,
+    Lockstep(sim::Engine *s, const CompiledCore *d, const GoldenTrace *g,
              std::vector<uint32_t> image, size_t cap)
         : sim(s), dut(d), gold(g), iss(std::move(image)),
           shadow(iss.memory()), max_deltas(cap)
@@ -309,9 +308,8 @@ template <typename SimT> struct Lockstep {
 };
 
 /** Post-run whole-state diff for runs that never visibly diverged. */
-template <typename SimT>
 void
-finalStateCheck(Lockstep<SimT> &ls, Verdict &v)
+finalStateCheck(Lockstep &ls, Verdict &v)
 {
     std::span<const uint64_t> mem = ls.sim->arrayView(ls.dut->mem);
     std::span<const uint64_t> rf = ls.sim->arrayView(ls.dut->rf);
@@ -347,11 +345,10 @@ finalStateCheck(Lockstep<SimT> &ls, Verdict &v)
 }
 
 /** The engine-generic grade: attach, run, classify. */
-template <typename SimT>
 Verdict
-runGrade(const CorpusProgram &prog, SimT &sim, const CompiledCore &dut,
-         const GoldenTrace &gold, const std::vector<uint32_t> &image,
-         const GradeOptions &opts)
+runGrade(const CorpusProgram &prog, sim::Engine &sim,
+         const CompiledCore &dut, const GoldenTrace &gold,
+         const std::vector<uint32_t> &image, const GradeOptions &opts)
 {
     Verdict v;
     v.program = prog.name;
@@ -365,7 +362,7 @@ runGrade(const CorpusProgram &prog, SimT &sim, const CompiledCore &dut,
         if (image[w] != init[w])
             sim.writeArray(dut.mem, w, image[w]);
 
-    Lockstep<SimT> ls(&sim, &dut, &gold, image, opts.max_deltas);
+    Lockstep ls(&sim, &dut, &gold, image, opts.max_deltas);
     sim.addPostCycleHook([&ls](uint64_t cycle) { ls.onCycle(cycle); });
 
     std::optional<sim::FaultInjector> inj;
@@ -527,20 +524,21 @@ gradeOn(const CompiledCore &dut, const CorpusProgram &program,
               " memory words, the compiled core has ", dut.mem->size());
     GoldenTrace gold = goldenRun(program, image);
 
+    std::unique_ptr<sim::Engine> instance;
     if (engine == Engine::kEvent) {
         sim::SimOptions so;
         so.capture_logs = false;
         so.shuffle = opts.shuffle;
         so.shuffle_seed = opts.shuffle_seed;
         so.timeline_path = opts.timeline_path;
-        sim::Simulator sim(dut.program, so);
-        return runGrade(program, sim, dut, gold, image, opts);
+        instance = std::make_unique<sim::Simulator>(dut.program, so);
+    } else {
+        rtl::NetlistSimOptions no;
+        no.capture_logs = false;
+        no.timeline_path = opts.timeline_path;
+        instance = std::make_unique<rtl::NetlistSim>(*dut.netlist, no);
     }
-    rtl::NetlistSimOptions no;
-    no.capture_logs = false;
-    no.timeline_path = opts.timeline_path;
-    rtl::NetlistSim sim(*dut.netlist, no);
-    return runGrade(program, sim, dut, gold, image, opts);
+    return runGrade(program, *instance, dut, gold, image, opts);
 }
 
 Verdict

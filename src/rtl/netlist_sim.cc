@@ -568,7 +568,7 @@ struct NetlistSim::Impl {
 };
 
 NetlistSim::NetlistSim(const Netlist &nl, NetlistSimOptions opts)
-    : impl_(std::make_unique<Impl>(nl, opts))
+    : Engine(nl.sys(), "netlist"), impl_(std::make_unique<Impl>(nl, opts))
 {}
 
 namespace {
@@ -737,274 +737,107 @@ NetlistSim::arrayWrites(const RegArray *array) const
     return impl_->array_writes.at(array->id());
 }
 
-sim::MetricsRegistry
-NetlistSim::metrics() const
-{
-    using sim::arrayKey;
-    using sim::fifoKey;
-    using sim::stageKey;
-    sim::MetricsRegistry reg;
-    reg.set("cycles", impl_->cycle);
-    reg.set("total.executions", impl_->total_execs);
-    reg.set("total.events", impl_->total_events);
-    uint64_t skipped = 0;
-    for (const ModStat &st : impl_->mod_stats) {
-        reg.set(stageKey(*st.mod, "execs"), st.execs);
-        reg.set(stageKey(*st.mod, "wait_spins"), st.wait_spins);
-        reg.set(stageKey(*st.mod, "idle_cycles"), st.idle_cycles);
-        reg.set(stageKey(*st.mod, "events_in"), st.events_in);
-        reg.set(stageKey(*st.mod, "event_saturations"), st.saturations);
-        reg.set(stageKey(*st.mod, "backpressure_stalls"), st.bp_stalls);
-        skipped += st.idle_cycles;
-    }
-    // Scheduler health, in lockstep with sim::Simulator::metrics():
-    // both counters are architectural quantities (sim/metrics.h), so
-    // the netlist values equal the event engine's.
-    reg.set("sched.executions", impl_->total_execs);
-    reg.set("sched.events_skipped", skipped);
-    reg.set("sched.stages_woken", impl_->stages_woken);
-    for (size_t i = 0; i < impl_->fifos.size(); ++i) {
-        const Port &port = *impl_->nl.fifos()[i].port;
-        const FifoRt &rt = impl_->fifos[i];
-        reg.set(fifoKey(port, "pushes"), rt.pushes);
-        reg.set(fifoKey(port, "pops"), rt.pops);
-        reg.set(fifoKey(port, "high_water"), rt.occupancy.high_water);
-        reg.set(fifoKey(port, "drops"), rt.drops);
-        reg.set(fifoKey(port, "stall_cycles"), rt.stall_cycles);
-        reg.histogram(fifoKey(port, "occupancy")) = rt.occupancy;
-    }
-    for (size_t i = 0; i < impl_->nl.arrays().size(); ++i)
-        reg.set(arrayKey(*impl_->nl.arrays()[i].array, "writes"),
-                impl_->array_writes[i]);
-    // Dropped-span accounting, in lockstep with sim::Simulator: the
-    // recorder state is deterministic, so these keys align too.
-    if (const sim::TraceRecorder *rec = impl_->recorder.get()) {
-        reg.set("trace.events", rec->eventsRecorded());
-        reg.set("trace.dropped_events", rec->eventsDropped());
-    }
-    return reg;
-}
-
 // ---------------------------------------------------------------------------
-// Checkpoint/restore. Section layouts mirror simulator.cc byte for
-// byte (that file is the canonical definition): the same System IR
-// ordering, the same field sequence, the same entry normalization —
-// which is what makes a netlist snapshot restorable by the event
-// engine and vice versa (tests/ckpt_test.cc pins the byte identity).
+// The engine-contract hooks (sim/engine.h). The record is keyed off the
+// shared System IR (never netlist-private dense ids), which is what
+// makes a netlist snapshot restorable by the event engine and vice
+// versa.
 // ---------------------------------------------------------------------------
 
-sim::Snapshot
-NetlistSim::snapshot() const
+void
+NetlistSim::exportState(sim::MachineState &out, bool payloads) const
 {
     const Impl &im = *impl_;
-    const System &sys = im.nl.sys();
+    out.cycle = im.cycle;
+    out.finished = im.finished;
+    // The event engine's finish_pending; at a cycle boundary it always
+    // equals finished on both engines.
+    out.finish_pending = im.finished;
+    out.quiet_cycles = im.quiet_cycles;
+    out.poked = im.poked;
+    out.total_execs = im.total_execs;
+    out.total_events = im.total_events;
+    out.stages_woken = im.stages_woken;
     if (im.hazard_flag)
-        fatal("snapshot: the run of '", sys.name(),
-              "' already ended with a ",
-              sim::runStatusName(im.hazard_status), " verdict at cycle ",
-              im.cycle, "; verdict runs are not resumable");
-    sim::Snapshot snap;
-    snap.design = sys.name();
-    snap.engine = "netlist";
-    snap.cycle = im.cycle;
-    {
-        sim::ByteWriter w;
-        w.u64(im.cycle);
-        w.u8(im.finished ? 1 : 0);
-        // The event engine's finish_pending; at a cycle boundary it
-        // always equals finished on both engines.
-        w.u8(im.finished ? 1 : 0);
-        w.u64(im.quiet_cycles);
-        w.u8(im.poked ? 1 : 0);
-        w.u64(im.total_execs);
-        w.u64(im.total_events);
-        w.u64(im.stages_woken);
-        snap.add("meta", w.take());
+        out.verdict = im.hazard_status;
+    out.arrays.resize(im.arrays.size());
+    for (size_t i = 0; i < im.arrays.size(); ++i) {
+        out.arrays[i].writes = im.array_writes[i];
+        if (payloads)
+            out.arrays[i].data = im.arrays[i];
     }
-    {
-        sim::ByteWriter w;
-        w.u32(uint32_t(im.arrays.size()));
-        for (const auto &arr : sys.arrays()) {
-            const std::vector<uint64_t> &data = im.arrays[arr->id()];
-            w.u32(uint32_t(data.size()));
-            for (uint64_t word : data)
-                w.u64(word);
-            w.u64(im.array_writes[arr->id()]);
-        }
-        snap.add("arrays", w.take());
-    }
-    {
-        sim::ByteWriter w;
-        w.u32(uint32_t(im.fifos.size()));
-        for (const auto &mod : sys.modules()) {
-            for (const auto &port : mod->ports()) {
-                const FifoRt &f = im.fifos[im.nl.fifoIndex(port.get())];
-                w.u32(uint32_t(f.buf.size()));
-                w.u32(f.count);
+    out.fifos.reserve(im.fifos.size());
+    for (const auto &mod : system().modules()) {
+        for (const auto &port : mod->ports()) {
+            const FifoRt &f = im.fifos[im.nl.fifoIndex(port.get())];
+            sim::MachineState::Fifo &o = out.fifos.emplace_back();
+            if (payloads)
                 for (uint32_t i = 0; i < f.count; ++i)
-                    w.u64(f.buf[(f.head + i) % f.buf.size()]);
-                w.u64(f.pushes);
-                w.u64(f.pops);
-                w.u64(f.drops);
-                w.u64(f.stall_cycles);
-                w.u64(f.occupancy.high_water);
-                w.u64(f.occupancy.samples);
-                w.vec64(f.occupancy.buckets);
-            }
+                    o.entries.push_back(f.buf[(f.head + i) % f.buf.size()]);
+            o.traffic = sim::FifoTraffic{f.pushes, f.pops, f.drops,
+                                         f.stall_cycles};
+            o.occupancy = f.occupancy;
         }
-        snap.add("fifos", w.take());
     }
-    {
-        sim::ByteWriter w;
-        w.u32(uint32_t(im.mod_stats.size()));
-        for (const auto &mod : sys.modules()) {
-            const ModStat &st = im.mod_stats[im.stat_of_mod[mod->id()]];
-            w.u64(im.pendingOf(st));
-            w.u64(st.execs);
-            w.u64(st.wait_spins);
-            w.u64(st.idle_cycles);
-            w.u64(st.events_in);
-            w.u64(st.saturations);
-            w.u64(st.bp_stalls);
-        }
-        snap.add("mods", w.take());
+    out.stages.resize(im.mod_stats.size());
+    for (const ModStat &st : im.mod_stats) {
+        sim::MachineState::Stage &o = out.stages[st.mod->id()];
+        o.counters = stageCounters(st.mod);
+        o.saturations = st.saturations;
     }
-    {
-        sim::ByteWriter w;
-        w.u32(uint32_t(im.logs.size()));
-        for (const std::string &line : im.logs)
-            w.str(line);
-        snap.add("logs", w.take());
-    }
-    if (im.recorder) {
-        sim::ByteWriter w;
-        im.recorder->serialize(w);
-        snap.add("trace", w.take());
-    }
-    return snap;
+    if (payloads)
+        out.logs = im.logs;
 }
 
 void
-NetlistSim::restore(const sim::Snapshot &snap)
+NetlistSim::importState(sim::MachineState &&st)
 {
     Impl &im = *impl_;
-    const System &sys = im.nl.sys();
-    if (snap.design != sys.name())
-        fatal("checkpoint: snapshot of design '", snap.design,
-              "' cannot restore into a run of '", sys.name(), "'");
-    {
-        sim::ByteReader r = snap.reader("meta");
-        im.cycle = r.u64();
-        im.finished = r.flag();
-        r.flag(); // finish_pending: equals finished at every boundary
-        im.quiet_cycles = r.u64();
-        im.poked = r.flag();
-        im.total_execs = r.u64();
-        im.total_events = r.u64();
-        im.stages_woken = r.u64();
-        r.expectEnd();
+    im.cycle = st.cycle;
+    im.finished = st.finished;
+    im.quiet_cycles = st.quiet_cycles;
+    im.poked = st.poked;
+    im.total_execs = st.total_execs;
+    im.total_events = st.total_events;
+    im.stages_woken = st.stages_woken;
+    for (size_t i = 0; i < im.arrays.size(); ++i) {
+        // In place: arrayView spans alias this storage.
+        std::copy(st.arrays[i].data.begin(), st.arrays[i].data.end(),
+                  im.arrays[i].begin());
+        im.array_writes[i] = st.arrays[i].writes;
+        im.array_version[i] = 0;
     }
-    if (im.cycle != snap.cycle)
-        fatal("checkpoint: header cycle ", snap.cycle,
-              " disagrees with section 'meta' cycle ", im.cycle);
-    {
-        sim::ByteReader r = snap.reader("arrays");
-        uint32_t count = r.u32();
-        if (count != im.arrays.size())
-            fatal("checkpoint: section 'arrays' carries ", count,
-                  " array(s), design '", sys.name(), "' has ",
-                  im.arrays.size());
-        for (const auto &arr : sys.arrays()) {
-            std::vector<uint64_t> &data = im.arrays[arr->id()];
-            uint32_t size = r.u32();
-            if (size != data.size())
-                fatal("checkpoint: array '", arr->name(), "' has ", size,
-                      " element(s) in the snapshot, ", data.size(),
-                      " in the design");
-            for (uint64_t &word : data)
-                word = r.u64();
-            im.array_writes[arr->id()] = r.u64();
-            im.array_version[arr->id()] = 0;
+    size_t next = 0;
+    for (const auto &mod : system().modules()) {
+        for (const auto &port : mod->ports()) {
+            FifoRt &f = im.fifos[im.nl.fifoIndex(port.get())];
+            sim::MachineState::Fifo &in = st.fifos[next++];
+            std::fill(f.buf.begin(), f.buf.end(), 0);
+            std::copy(in.entries.begin(), in.entries.end(), f.buf.begin());
+            f.head = 0;
+            f.count = uint32_t(in.entries.size());
+            f.pushes = in.traffic.pushes;
+            f.pops = in.traffic.pops;
+            f.drops = in.traffic.drops;
+            f.stall_cycles = in.traffic.stall_cycles;
+            f.occupancy = std::move(in.occupancy);
         }
-        r.expectEnd();
     }
-    {
-        sim::ByteReader r = snap.reader("fifos");
-        uint32_t count = r.u32();
-        if (count != im.fifos.size())
-            fatal("checkpoint: section 'fifos' carries ", count,
-                  " FIFO(s), design '", sys.name(), "' has ",
-                  im.fifos.size());
-        for (const auto &mod : sys.modules()) {
-            for (const auto &port : mod->ports()) {
-                FifoRt &f = im.fifos[im.nl.fifoIndex(port.get())];
-                uint32_t depth = r.u32();
-                if (depth != f.buf.size())
-                    fatal("checkpoint: FIFO '", port->fullName(),
-                          "' has depth ", depth, " in the snapshot, ",
-                          f.buf.size(), " in the design");
-                uint32_t occ = r.u32();
-                if (occ > depth)
-                    fatal("checkpoint: FIFO '", port->fullName(),
-                          "' claims occupancy ", occ, " above depth ",
-                          depth);
-                std::fill(f.buf.begin(), f.buf.end(), 0);
-                f.head = 0;
-                f.count = occ;
-                for (uint32_t i = 0; i < occ; ++i)
-                    f.buf[i] = r.u64();
-                f.pushes = r.u64();
-                f.pops = r.u64();
-                f.drops = r.u64();
-                f.stall_cycles = r.u64();
-                f.occupancy.high_water = r.u64();
-                f.occupancy.samples = r.u64();
-                std::vector<uint64_t> buckets =
-                    r.vec64(f.occupancy.buckets.size());
-                if (buckets.size() != f.occupancy.buckets.size())
-                    fatal("checkpoint: FIFO '", port->fullName(),
-                          "' occupancy histogram has ", buckets.size(),
-                          " bucket(s), expected ",
-                          f.occupancy.buckets.size());
-                f.occupancy.buckets = std::move(buckets);
-            }
-        }
-        r.expectEnd();
+    for (ModStat &ms : im.mod_stats) {
+        const sim::MachineState::Stage &in = st.stages[ms.mod->id()];
+        // Drivers own no counter; the codec rejects pending events on
+        // them.
+        if (ms.counter_idx >= 0)
+            im.counters[ms.counter_idx] = in.counters.pending;
+        ms.execs = in.counters.execs;
+        ms.wait_spins = in.counters.wait_spins;
+        ms.idle_cycles = in.counters.idle_cycles;
+        ms.events_in = in.counters.events_in;
+        ms.saturations = in.saturations;
+        ms.bp_stalls = in.counters.backpressure_stalls;
+        ms.bp_stalled = false;
     }
-    {
-        sim::ByteReader r = snap.reader("mods");
-        uint32_t count = r.u32();
-        if (count != im.mod_stats.size())
-            fatal("checkpoint: section 'mods' carries ", count,
-                  " module(s), design '", sys.name(), "' has ",
-                  im.mod_stats.size());
-        for (const auto &mod : sys.modules()) {
-            ModStat &st = im.mod_stats[im.stat_of_mod[mod->id()]];
-            uint64_t pending = r.u64();
-            if (st.counter_idx >= 0)
-                im.counters[st.counter_idx] = pending;
-            else if (pending != 0)
-                fatal("checkpoint: stage '", mod->name(),
-                      "' has no event counter but the snapshot claims ",
-                      pending, " pending event(s)");
-            st.execs = r.u64();
-            st.wait_spins = r.u64();
-            st.idle_cycles = r.u64();
-            st.events_in = r.u64();
-            st.saturations = r.u64();
-            st.bp_stalls = r.u64();
-            st.bp_stalled = false;
-        }
-        r.expectEnd();
-    }
-    {
-        sim::ByteReader r = snap.reader("logs");
-        uint32_t count = r.u32();
-        im.logs.clear();
-        for (uint32_t i = 0; i < count; ++i)
-            im.logs.push_back(r.str(size_t(1) << 20));
-        r.expectEnd();
-    }
+    im.logs = std::move(st.logs);
     // Nets are cycle-transient: step() re-drives every state-derived
     // net before evaluation. Zero them, re-apply elaborated constants,
     // and invalidate every activity-gating cone so the first resumed
@@ -1020,11 +853,6 @@ NetlistSim::restore(const sim::Snapshot &snap)
     im.hazard_flag = false;
     im.hazard_status = sim::RunStatus::kMaxCycles;
     im.hazard = sim::HazardReport{};
-    if (im.recorder && snap.find("trace")) {
-        sim::ByteReader r = snap.reader("trace");
-        im.recorder->deserialize(r);
-        r.expectEnd();
-    }
 }
 
 void

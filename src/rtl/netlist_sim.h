@@ -23,6 +23,7 @@
 
 #include "rtl/netlist.h"
 #include "sim/ckpt.h"
+#include "sim/engine.h"
 #include "sim/hazard.h"
 #include "sim/metrics.h"
 #include "sim/trace.h"
@@ -31,157 +32,73 @@
 namespace assassyn {
 namespace rtl {
 
-/** Runtime configuration of a netlist-level simulation. */
+/**
+ * Runtime configuration of a netlist-level simulation. Each field
+ * means the same as its sim::SimOptions namesake; set both alike and
+ * the two backends stay bit-identical.
+ */
 struct NetlistSimOptions {
     /** Collect $display output; disable for throughput benchmarks. */
     bool capture_logs = true;
-
-    /**
-     * Pending-event counter bound. The generated RTL uses an 8-bit
-     * counter, hence the 255 default; kept configurable so differential
-     * tests can tighten it in lockstep with SimOptions.
-     */
+    /** The generated RTL's 8-bit event counter bound. */
     uint64_t max_pending_events = 255;
-
-    /**
-     * Saturate (instead of abort) when an event counter hits the bound,
-     * mirroring sim::SimOptions::saturate_events so both backends stay
-     * bit-identical under overflow.
-     */
     bool saturate_events = false;
-
-    /**
-     * Deadlock/livelock watchdog window, in lockstep with
-     * sim::SimOptions::watchdog_window: after this many consecutive
-     * zero-progress cycles with a blocked stage, run() stops with a
-     * wait-for-graph diagnosis byte-identical to the event simulator's.
-     * 0 disables.
-     */
     uint64_t watchdog_window = 1024;
-
-    /**
-     * When nonempty, record the structured Chrome-trace / Perfetto
-     * timeline here (sim/trace.h, schema assassyn.trace.v1),
-     * byte-identical to the sim::Simulator trace of the same design
-     * and seed. Off (empty) by default; see docs/observability.md.
-     */
     std::string timeline_path;
-
-    /**
-     * Ring bound on retained timeline events, in lockstep with
-     * sim::SimOptions::timeline_events so both backends drop the
-     * identical oldest prefix.
-     */
     size_t timeline_events = size_t(1) << 20;
 };
 
-/** Executes an elaborated Netlist cycle by cycle. */
-class NetlistSim {
+/**
+ * Executes an elaborated Netlist cycle by cycle: the netlist-level
+ * sim::Engine. The Engine surface (sim/engine.h) documents every
+ * accessor; values are identical to sim::Simulator's at every cycle.
+ */
+class NetlistSim final : public sim::Engine {
   public:
     explicit NetlistSim(const Netlist &nl, NetlistSimOptions opts);
     explicit NetlistSim(const Netlist &nl, bool capture_logs = true);
-    ~NetlistSim();
-
-    NetlistSim(const NetlistSim &) = delete;
-    NetlistSim &operator=(const NetlistSim &) = delete;
+    ~NetlistSim() override;
 
     /**
-     * Run until $finish, @p max_cycles, a watchdog hazard, or a design
-     * fault. Same structured-result contract as sim::Simulator::run —
-     * design faults return RunResult::kFault instead of throwing, and
-     * the hazard report is byte-identical to the event simulator's for
-     * the same design. A netlist with a residual combinational cycle
+     * A netlist with a residual combinational cycle
      * (Netlist::levelized() false) returns kFault immediately, carrying
      * the diagnostic that names the offending cells.
      */
-    sim::RunResult run(uint64_t max_cycles);
-
-    bool finished() const;
-    uint64_t cycle() const;
-
-    uint64_t readArray(const RegArray *array, size_t index) const;
-
-    /**
-     * Every element of a register array at once: the bulk form of
-     * readArray, with the same contract (read it between run() calls or
-     * from a cycle hook). The span aliases the engine's live storage, so
-     * it reflects later commits, pokes and restore()s, and stays valid
-     * for the engine's lifetime. Element for element equal to
-     * sim::Simulator::arrayView at the same cycle.
-     */
-    std::span<const uint64_t> arrayView(const RegArray *array) const;
-    void writeArray(const RegArray *array, size_t index, uint64_t value);
-
-    /** Current number of entries in a port's FIFO. */
-    uint64_t fifoOccupancy(const Port *port) const;
-
-    /** Read the FIFO entry @p pos slots behind the head (0 = head). */
-    uint64_t readFifo(const Port *port, size_t pos) const;
-
-    /** Overwrite a live FIFO entry (fault injection / testbench poke). */
-    void writeFifo(const Port *port, size_t pos, uint64_t value);
-
-    const std::vector<std::string> &logOutput() const;
+    sim::RunResult run(uint64_t max_cycles) override;
+    bool finished() const override;
+    uint64_t cycle() const override;
+    uint64_t readArray(const RegArray *array, size_t index) const override;
+    std::span<const uint64_t> arrayView(const RegArray *array) const override;
+    void writeArray(const RegArray *array, size_t index,
+                    uint64_t value) override;
+    uint64_t fifoOccupancy(const Port *port) const override;
+    uint64_t readFifo(const Port *port, size_t pos) const override;
+    void writeFifo(const Port *port, size_t pos, uint64_t value) override;
+    const std::vector<std::string> &logOutput() const override;
+    sim::StageCounters stageCounters(const Module *mod) const override;
+    sim::FifoTraffic fifoTraffic(const Port *port) const override;
+    uint64_t arrayWrites(const RegArray *array) const override;
+    void addPreCycleHook(CycleHook hook) override;
+    void addPostCycleHook(CycleHook hook) override;
+    sim::TraceRecorder *traceRecorder() const override;
 
     /** Current value of a net (post the last evaluated cycle). */
     uint64_t netValue(uint32_t net) const;
 
+  protected:
     /**
-     * Point-in-time scheduler counters for one stage (sim/metrics.h),
-     * identical in signature and value to
-     * sim::Simulator::stageCounters — the debugger's per-cycle polling
-     * surface (src/debug/).
+     * Nets are not exported: step() re-derives every state-driven net
+     * from sequential state at the top of each cycle, so the
+     * sequential state alone reconstructs the machine.
      */
-    sim::StageCounters stageCounters(const Module *mod) const;
-
-    /** Point-in-time traffic counters for one FIFO (same contract). */
-    sim::FifoTraffic fifoTraffic(const Port *port) const;
-
-    /** Committed write count of one register array (same contract). */
-    uint64_t arrayWrites(const RegArray *array) const;
+    void exportState(sim::MachineState &out, bool payloads) const override;
 
     /**
-     * Snapshot of the same counters and histograms the event-driven
-     * simulator collects (sim/metrics.h), measured from the netlist:
-     * the paper's cycle-alignment guarantee extends to every key here.
+     * Besides the sequential state: nets are zeroed, constants
+     * re-applied, and every activity-gating cone invalidated, so the
+     * first resumed cycle re-evaluates everything.
      */
-    sim::MetricsRegistry metrics() const;
-
-    /**
-     * Serialize every piece of mutable run state into an
-     * engine-portable sim::Snapshot (sim/ckpt.h). Sections are keyed
-     * off the shared System IR (never netlist-private dense ids), so
-     * for the same design at the same cycle they are byte-identical to
-     * a sim::Simulator snapshot. Nets are *not* serialized: step()
-     * re-derives every state-driven net from sequential state at the
-     * top of each cycle, so the sequential sections alone reconstruct
-     * the machine. Must be taken between run() calls; a run that ended
-     * with a watchdog verdict fatal()s here.
-     */
-    sim::Snapshot snapshot() const;
-
-    /**
-     * Rewind this instance to @p snap (from either engine). Layout
-     * mismatches are structured FatalErrors. Nets are zeroed,
-     * constants re-applied, and every activity-gating cone
-     * invalidated, so the first resumed cycle re-evaluates everything
-     * from the restored sequential state.
-     */
-    void restore(const sim::Snapshot &snap);
-
-    /** Hook fired before each cycle's combinational evaluation. */
-    void addPreCycleHook(CycleHook hook);
-
-    /** Hook fired after each cycle's sequential commit. */
-    void addPostCycleHook(CycleHook hook);
-
-    /**
-     * The timeline recorder (sim/trace.h), or nullptr when
-     * NetlistSimOptions::timeline_path is empty. Exposed for
-     * dropped-span accounting in tests and for fault-injection event
-     * routing.
-     */
-    sim::TraceRecorder *traceRecorder() const;
+    void importState(sim::MachineState &&state) override;
 
   private:
     struct Impl;

@@ -17,14 +17,16 @@
  *       bytes      payload
  *     u32          CRC-32 of every preceding byte
  *
- * Section payloads are defined by the producers (simulator.cc,
- * netlist_sim.cc, trace.cc, grader.cc); this file only frames them.
+ * Section payloads are defined by the producers (the engine codec in
+ * engine.cc, trace.cc, grader.cc); this file only frames them.
  * The whole-file CRC means any single bit flip anywhere in the blob is
  * detected even when it happens to keep the structure parseable.
  */
 #include "sim/ckpt.h"
 
+#include <bit>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 
@@ -121,11 +123,22 @@ ByteWriter::str(const std::string &s)
 }
 
 void
+ByteWriter::words(const uint64_t *v, size_t n)
+{
+    if constexpr (std::endian::native != std::endian::little) {
+        for (size_t i = 0; i < n; ++i)
+            u64(v[i]);
+    } else {
+        const auto *bytes = reinterpret_cast<const uint8_t *>(v);
+        buf_.insert(buf_.end(), bytes, bytes + n * 8);
+    }
+}
+
+void
 ByteWriter::vec64(const std::vector<uint64_t> &v)
 {
     u32(uint32_t(v.size()));
-    for (uint64_t word : v)
-        u64(word);
+    words(v.data(), v.size());
 }
 
 void
@@ -190,6 +203,19 @@ ByteReader::str(size_t max_len)
     return s;
 }
 
+void
+ByteReader::words(uint64_t *out, size_t n)
+{
+    need(n * 8);
+    if constexpr (std::endian::native != std::endian::little) {
+        for (size_t i = 0; i < n; ++i)
+            out[i] = u64();
+    } else if (n) {
+        std::memcpy(out, data_ + off_, n * 8);
+        off_ += n * 8;
+    }
+}
+
 std::vector<uint64_t>
 ByteReader::vec64(size_t max_elems)
 {
@@ -200,8 +226,7 @@ ByteReader::vec64(size_t max_elems)
               " at byte ", at, " exceeds the cap of ", max_elems);
     need(size_t(count) * 8);
     std::vector<uint64_t> v(count);
-    for (uint32_t i = 0; i < count; ++i)
-        v[i] = u64();
+    words(v.data(), count);
     return v;
 }
 

@@ -18,7 +18,7 @@
  * order), so a snapshot taken by `sim::Simulator` restores into
  * `rtl::NetlistSim` and vice versa; the sections themselves are
  * byte-identical across engines for the same design at the same
- * cycle.
+ * cycle, because one codec (sim/engine.cc) writes them for both.
  *
  * On-disk format (`assassyn.ckpt.v1`): a JSON manifest (schema,
  * design, engine, cycle, per-section byte counts + CRC32s, binary
@@ -69,6 +69,9 @@ class ByteWriter {
     /** Length-prefixed (u32) byte string. */
     void str(const std::string &s);
 
+    /** @p n u64 words, without a length prefix. */
+    void words(const uint64_t *v, size_t n);
+
     /** Length-prefixed (u32) vector of u64 words. */
     void vec64(const std::vector<uint64_t> &v);
 
@@ -102,6 +105,9 @@ class ByteReader {
     /** Length-prefixed string; length above @p max_len is a fatal(). */
     std::string str(size_t max_len = 1 << 16);
 
+    /** @p n u64 words (no length prefix) into @p out. */
+    void words(uint64_t *out, size_t n);
+
     /** Length-prefixed u64 vector with an element-count cap. */
     std::vector<uint64_t> vec64(size_t max_elems = size_t(1) << 32);
 
@@ -129,8 +135,8 @@ struct SnapshotSection {
 
 /**
  * The in-memory checkpoint: engine identity plus named state
- * sections. Produced by Simulator::snapshot() / NetlistSim::snapshot()
- * and consumed by their restore(); round-trips through
+ * sections. Produced by Engine::snapshot() (sim/engine.h) on either
+ * backend and consumed by Engine::restore(); round-trips through
  * encodeSnapshot()/decodeSnapshot() and save/loadCheckpoint().
  */
 struct Snapshot {

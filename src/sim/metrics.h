@@ -113,9 +113,9 @@ class MetricsRegistry {
     // --- Population --------------------------------------------------------
 
     void
-    set(const std::string &key, uint64_t value)
+    set(std::string key, uint64_t value)
     {
-        counters_[key] = value;
+        counters_.insert_or_assign(std::move(key), value);
     }
 
     void
@@ -124,7 +124,11 @@ class MetricsRegistry {
         counters_[key] += delta;
     }
 
-    Histogram &histogram(const std::string &key) { return histograms_[key]; }
+    Histogram &
+    histogram(std::string key)
+    {
+        return histograms_[std::move(key)];
+    }
 
     // --- Inspection --------------------------------------------------------
 

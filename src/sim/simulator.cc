@@ -1,6 +1,7 @@
 #include "sim/simulator.h"
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 
 #include "sim/vcd.h"
@@ -1223,11 +1224,13 @@ struct Simulator::Impl {
 };
 
 Simulator::Simulator(const System &sys, SimOptions opts)
-    : impl_(std::make_unique<Impl>(Program::compile(sys), opts))
+    : Engine(sys, "event"),
+      impl_(std::make_unique<Impl>(Program::compile(sys), opts))
 {}
 
 Simulator::Simulator(std::shared_ptr<const Program> program, SimOptions opts)
-    : impl_(std::make_unique<Impl>(std::move(program), opts))
+    : Engine(program->sys(), "event"),
+      impl_(std::make_unique<Impl>(std::move(program), opts))
 {}
 
 Simulator::~Simulator() = default;
@@ -1391,289 +1394,139 @@ Simulator::stats() const
     return st;
 }
 
-MetricsRegistry
-Simulator::metrics() const
-{
-    MetricsRegistry reg;
-    reg.set("cycles", impl_->cycle);
-    reg.set("total.executions", impl_->total_execs);
-    reg.set("total.events", impl_->total_subs);
-    uint64_t skipped = 0;
-    for (const ModState &ms : impl_->mods) {
-        reg.set(stageKey(*ms.mod, "execs"), ms.execs);
-        reg.set(stageKey(*ms.mod, "wait_spins"), ms.wait_spins);
-        reg.set(stageKey(*ms.mod, "idle_cycles"), impl_->foldedIdle(ms));
-        reg.set(stageKey(*ms.mod, "events_in"), ms.events_in);
-        reg.set(stageKey(*ms.mod, "event_saturations"), ms.saturations);
-        reg.set(stageKey(*ms.mod, "backpressure_stalls"), ms.bp_stalls);
-        skipped += impl_->foldedIdle(ms);
-    }
-    // Scheduler health (SimStats), under cross-backend keys: both
-    // quantities are architectural — see the key-scheme note in
-    // sim/metrics.h — so rtl::NetlistSim emits the identical values.
-    reg.set("sched.executions", impl_->total_execs);
-    reg.set("sched.events_skipped", skipped);
-    reg.set("sched.stages_woken", impl_->sched_woken);
-    for (const FifoState &f : impl_->fifos) {
-        Histogram occ = impl_->foldedOccupancy(f);
-        reg.set(fifoKey(*f.port, "pushes"), f.pushes);
-        reg.set(fifoKey(*f.port, "pops"), f.pops);
-        reg.set(fifoKey(*f.port, "high_water"), occ.high_water);
-        reg.set(fifoKey(*f.port, "drops"), f.drops);
-        reg.set(fifoKey(*f.port, "stall_cycles"), f.stall_cycles);
-        reg.histogram(fifoKey(*f.port, "occupancy")) = std::move(occ);
-    }
-    for (const ArrState &arr : impl_->arrays)
-        reg.set(arrayKey(*arr.array, "writes"), arr.writes);
-    // Dropped-span accounting for the timeline ring (only when tracing
-    // is on, so untraced runs keep their exact historical snapshots —
-    // and traced runs still align across backends, because the recorder
-    // state is deterministic).
-    if (const TraceRecorder *rec = impl_->recorder.get()) {
-        reg.set("trace.events", rec->eventsRecorded());
-        reg.set("trace.dropped_events", rec->eventsDropped());
-    }
-    return reg;
-}
-
 // ---------------------------------------------------------------------------
-// Checkpoint/restore (sim/ckpt.h). Section layouts here are the
-// canonical definition both engines implement; netlist_sim.cc emits
-// byte-identical sections for the same design at the same cycle, which
-// is what makes snapshots engine-portable (tests/ckpt_test.cc pins the
-// cross-backend byte identity). Ordering is always the shared System
-// IR: arrays in RegArray::id order, FIFOs in module/port declaration
-// order, modules in Module::id order — never a backend's private dense
-// numbering. Lazily folded counters (idle cycles, occupancy
-// histograms) serialize in their folded form, so the bytes are
-// indistinguishable from the eager full-scan engine's.
+// The engine-contract hooks (sim/engine.h). Lazily folded counters
+// (idle cycles, occupancy histograms) export in their folded form, so
+// the record is indistinguishable from the eager full-scan engine's;
+// FIFO entries export head first, because the physical head position
+// in the ring is not architectural.
 // ---------------------------------------------------------------------------
 
-Snapshot
-Simulator::snapshot() const
+void
+Simulator::exportState(MachineState &out, bool payloads) const
 {
     const Impl &im = *impl_;
+    out.cycle = im.cycle;
+    out.finished = im.finished;
+    out.finish_pending = im.finish_pending;
+    out.quiet_cycles = im.quiet_cycles;
+    out.poked = im.poked;
+    out.total_execs = im.total_execs;
+    out.total_events = im.total_subs;
+    out.stages_woken = im.sched_woken;
     if (im.hazard_flag)
-        fatal("snapshot: the run of '", im.sys.name(),
-              "' already ended with a ", runStatusName(im.hazard_status),
-              " verdict at cycle ", im.cycle,
-              "; verdict runs are not resumable");
-    Snapshot snap;
-    snap.design = im.sys.name();
-    snap.engine = "event";
-    snap.cycle = im.cycle;
-    {
-        ByteWriter w;
-        w.u64(im.cycle);
-        w.u8(im.finished ? 1 : 0);
-        w.u8(im.finish_pending ? 1 : 0);
-        w.u64(im.quiet_cycles);
-        w.u8(im.poked ? 1 : 0);
-        w.u64(im.total_execs);
-        w.u64(im.total_subs);
-        w.u64(im.sched_woken);
-        snap.add("meta", w.take());
+        out.verdict = im.hazard_status;
+    out.arrays.resize(im.arrays.size());
+    for (size_t i = 0; i < im.arrays.size(); ++i) {
+        const ArrState &a = im.arrays[i];
+        out.arrays[i].writes = a.writes;
+        if (payloads)
+            out.arrays[i].data = arrayView(a.array);
     }
-    {
-        ByteWriter w;
-        w.u32(uint32_t(im.arrays.size()));
-        for (const auto &arr : im.sys.arrays()) {
-            const ArrState &a = im.arrays[arr->id()];
-            w.u32(a.size);
-            for (uint32_t i = 0; i < a.size; ++i)
-                w.u64(im.arr_arena[a.base + i]);
-            w.u64(a.writes);
-        }
-        snap.add("arrays", w.take());
-    }
-    {
-        ByteWriter w;
-        w.u32(uint32_t(im.fifos.size()));
-        for (const auto &mod : im.sys.modules()) {
-            for (const auto &port : mod->ports()) {
-                const FifoState &f = im.fifos[im.fifoIndex(port.get())];
-                w.u32(f.depth);
-                w.u32(f.count);
-                // Entries head-first, so restore lays them out from
-                // index 0 with head = 0 — physical head position is
-                // not architectural.
+    out.fifos.reserve(im.fifos.size());
+    for (const auto &mod : im.sys.modules()) {
+        for (const auto &port : mod->ports()) {
+            const FifoState &f = im.fifos[im.fifoIndex(port.get())];
+            MachineState::Fifo &o = out.fifos.emplace_back();
+            if (payloads)
                 for (uint32_t i = 0; i < f.count; ++i)
-                    w.u64(im.fifo_arena[f.base +
-                                        ((f.head + i) & f.mask)]);
-                w.u64(f.pushes);
-                w.u64(f.pops);
-                w.u64(f.drops);
-                w.u64(f.stall_cycles);
-                Histogram occ = im.foldedOccupancy(f);
-                w.u64(occ.high_water);
-                w.u64(occ.samples);
-                w.vec64(occ.buckets);
-            }
+                    o.entries.push_back(
+                        im.fifo_arena[f.base + ((f.head + i) & f.mask)]);
+            o.traffic = FifoTraffic{f.pushes, f.pops, f.drops,
+                                    f.stall_cycles};
+            o.occupancy = im.foldedOccupancy(f);
         }
-        snap.add("fifos", w.take());
     }
-    {
-        ByteWriter w;
-        w.u32(uint32_t(im.mods.size()));
-        for (const auto &mod : im.sys.modules()) {
-            const ModState &ms = im.mods[mod->id()];
-            w.u64(ms.pending);
-            w.u64(ms.execs);
-            w.u64(ms.wait_spins);
-            w.u64(im.foldedIdle(ms));
-            w.u64(ms.events_in);
-            w.u64(ms.saturations);
-            w.u64(ms.bp_stalls);
-        }
-        snap.add("mods", w.take());
+    out.stages.resize(im.mods.size());
+    for (size_t i = 0; i < im.mods.size(); ++i) {
+        out.stages[i].counters = stageCounters(im.mods[i].mod);
+        out.stages[i].saturations = im.mods[i].saturations;
     }
-    {
-        ByteWriter w;
-        w.u32(uint32_t(im.logs.size()));
-        for (const std::string &line : im.logs)
-            w.str(line);
-        snap.add("logs", w.take());
-    }
-    if (im.recorder) {
-        ByteWriter w;
-        im.recorder->serialize(w);
-        snap.add("trace", w.take());
-    }
-    {
+    if (payloads) {
+        out.logs = im.logs;
         ByteWriter w;
         for (uint64_t word : im.rng.state())
             w.u64(word);
-        snap.add("event.rng", w.take());
+        out.extra.push_back({"event.rng", w.take()});
     }
-    return snap;
 }
 
 void
-Simulator::restore(const Snapshot &snap)
+Simulator::importState(MachineState &&st)
 {
     Impl &im = *impl_;
-    if (snap.design != im.sys.name())
-        fatal("checkpoint: snapshot of design '", snap.design,
-              "' cannot restore into a run of '", im.sys.name(), "'");
-    {
-        ByteReader r = snap.reader("meta");
-        im.cycle = r.u64();
-        im.finished = r.flag();
-        im.finish_pending = r.flag();
-        im.quiet_cycles = r.u64();
-        im.poked = r.flag();
-        im.total_execs = r.u64();
-        im.total_subs = r.u64();
-        im.sched_woken = r.u64();
+    // The shuffle RNG rides only event-engine snapshots; restoring a
+    // netlist snapshot keeps the constructor seed (documented caveat:
+    // a shuffled event run resumed from a netlist snapshot replays the
+    // stream from its seed). Parsed first, so a bad section changes
+    // nothing.
+    std::optional<std::array<uint64_t, 4>> rng;
+    for (const SnapshotSection &sec : st.extra) {
+        if (sec.name != "event.rng")
+            continue;
+        ByteReader r(sec.bytes.data(), sec.bytes.size(),
+                     "section 'event.rng'");
+        rng.emplace();
+        for (uint64_t &word : *rng)
+            word = r.u64();
         r.expectEnd();
     }
-    if (im.cycle != snap.cycle)
-        fatal("checkpoint: header cycle ", snap.cycle,
-              " disagrees with section 'meta' cycle ", im.cycle);
-    im.done = im.cycle;
-    {
-        ByteReader r = snap.reader("arrays");
-        uint32_t count = r.u32();
-        if (count != im.arrays.size())
-            fatal("checkpoint: section 'arrays' carries ", count,
-                  " array(s), design '", im.sys.name(), "' has ",
-                  im.arrays.size());
-        for (const auto &arr : im.sys.arrays()) {
-            ArrState &a = im.arrays[arr->id()];
-            uint32_t size = r.u32();
-            if (size != a.size)
-                fatal("checkpoint: array '", arr->name(), "' has ", size,
-                      " element(s) in the snapshot, ", a.size,
-                      " in the design");
-            for (uint32_t i = 0; i < a.size; ++i)
-                im.arr_arena[a.base + i] = r.u64();
-            a.writes = r.u64();
-            a.write_pending = false;
+    im.cycle = st.cycle;
+    im.done = st.cycle;
+    im.finished = st.finished;
+    im.finish_pending = st.finish_pending;
+    im.quiet_cycles = st.quiet_cycles;
+    im.poked = st.poked;
+    im.total_execs = st.total_execs;
+    im.total_subs = st.total_events;
+    im.sched_woken = st.stages_woken;
+    for (size_t i = 0; i < im.arrays.size(); ++i) {
+        ArrState &a = im.arrays[i];
+        std::copy(st.arrays[i].data.begin(), st.arrays[i].data.end(),
+                  im.arr_arena.begin() + a.base);
+        a.writes = st.arrays[i].writes;
+        a.write_pending = false;
+    }
+    size_t next = 0;
+    for (const auto &mod : im.sys.modules()) {
+        for (const auto &port : mod->ports()) {
+            FifoState &f = im.fifos[im.fifoIndex(port.get())];
+            MachineState::Fifo &in = st.fifos[next++];
+            std::fill(im.fifo_arena.begin() + f.base,
+                      im.fifo_arena.begin() + f.base + f.mask + 1, 0);
+            std::copy(in.entries.begin(), in.entries.end(),
+                      im.fifo_arena.begin() + f.base);
+            f.head = 0;
+            f.count = uint32_t(in.entries.size());
+            f.pushes = in.traffic.pushes;
+            f.pops = in.traffic.pops;
+            f.drops = in.traffic.drops;
+            f.stall_cycles = in.traffic.stall_cycles;
+            f.occupancy = std::move(in.occupancy);
+            f.sampled_until = im.cycle;
+            f.push_pending = false;
+            f.deq_pending = false;
+            f.push_src = nullptr;
         }
-        r.expectEnd();
     }
-    {
-        ByteReader r = snap.reader("fifos");
-        uint32_t count = r.u32();
-        if (count != im.fifos.size())
-            fatal("checkpoint: section 'fifos' carries ", count,
-                  " FIFO(s), design '", im.sys.name(), "' has ",
-                  im.fifos.size());
-        for (const auto &mod : im.sys.modules()) {
-            for (const auto &port : mod->ports()) {
-                FifoState &f = im.fifos[im.fifoIndex(port.get())];
-                uint32_t depth = r.u32();
-                if (depth != f.depth)
-                    fatal("checkpoint: FIFO '", port->fullName(),
-                          "' has depth ", depth, " in the snapshot, ",
-                          f.depth, " in the design");
-                uint32_t occ = r.u32();
-                if (occ > depth)
-                    fatal("checkpoint: FIFO '", port->fullName(),
-                          "' claims occupancy ", occ, " above depth ",
-                          depth);
-                std::fill(im.fifo_arena.begin() + f.base,
-                          im.fifo_arena.begin() + f.base + f.mask + 1,
-                          0);
-                f.head = 0;
-                f.count = occ;
-                for (uint32_t i = 0; i < occ; ++i)
-                    im.fifo_arena[f.base + i] = r.u64();
-                f.pushes = r.u64();
-                f.pops = r.u64();
-                f.drops = r.u64();
-                f.stall_cycles = r.u64();
-                f.occupancy.high_water = r.u64();
-                f.occupancy.samples = r.u64();
-                std::vector<uint64_t> buckets =
-                    r.vec64(f.occupancy.buckets.size());
-                if (buckets.size() != f.occupancy.buckets.size())
-                    fatal("checkpoint: FIFO '", port->fullName(),
-                          "' occupancy histogram has ", buckets.size(),
-                          " bucket(s), expected ",
-                          f.occupancy.buckets.size());
-                f.occupancy.buckets = std::move(buckets);
-                f.sampled_until = im.cycle;
-                f.push_pending = false;
-                f.deq_pending = false;
-                f.push_src = nullptr;
-            }
-        }
-        r.expectEnd();
+    for (size_t i = 0; i < im.mods.size(); ++i) {
+        ModState &ms = im.mods[i];
+        const MachineState::Stage &in = st.stages[i];
+        ms.pending = in.counters.pending;
+        ms.execs = in.counters.execs;
+        ms.wait_spins = in.counters.wait_spins;
+        ms.idle_cycles = in.counters.idle_cycles;
+        ms.events_in = in.counters.events_in;
+        ms.saturations = in.saturations;
+        ms.bp_stalls = in.counters.backpressure_stalls;
+        ms.inc = 0;
+        ms.dec = false;
+        ms.strobe = false;
+        ms.waited = false;
+        ms.bp_stalled = false;
+        ms.visit = 0;
     }
-    {
-        ByteReader r = snap.reader("mods");
-        uint32_t count = r.u32();
-        if (count != im.mods.size())
-            fatal("checkpoint: section 'mods' carries ", count,
-                  " module(s), design '", im.sys.name(), "' has ",
-                  im.mods.size());
-        for (const auto &mod : im.sys.modules()) {
-            ModState &ms = im.mods[mod->id()];
-            ms.pending = r.u64();
-            ms.execs = r.u64();
-            ms.wait_spins = r.u64();
-            ms.idle_cycles = r.u64();
-            ms.events_in = r.u64();
-            ms.saturations = r.u64();
-            ms.bp_stalls = r.u64();
-            ms.inc = 0;
-            ms.dec = false;
-            ms.strobe = false;
-            ms.waited = false;
-            ms.bp_stalled = false;
-            ms.visit = 0;
-        }
-        r.expectEnd();
-    }
-    {
-        ByteReader r = snap.reader("logs");
-        uint32_t count = r.u32();
-        im.logs.clear();
-        for (uint32_t i = 0; i < count; ++i)
-            im.logs.push_back(r.str(size_t(1) << 20));
-        r.expectEnd();
-    }
+    im.logs = std::move(st.logs);
     // Rebuild the scheduler views from the restored architectural
     // state: the ready set is exactly drivers plus pending stages,
     // idle spans re-anchor at the restore cycle (their accumulated
@@ -1697,23 +1550,8 @@ Simulator::restore(const Snapshot &snap)
     im.hazard_flag = false;
     im.hazard_status = RunStatus::kMaxCycles;
     im.hazard = HazardReport{};
-    // The shuffle RNG rides only event-engine snapshots; restoring a
-    // netlist snapshot keeps the constructor seed (documented caveat:
-    // a shuffled event run resumed from a netlist snapshot replays the
-    // stream from its seed).
-    if (snap.find("event.rng")) {
-        ByteReader r = snap.reader("event.rng");
-        std::array<uint64_t, 4> state;
-        for (uint64_t &word : state)
-            word = r.u64();
-        r.expectEnd();
-        im.rng.setState(state);
-    }
-    if (im.recorder && snap.find("trace")) {
-        ByteReader r = snap.reader("trace");
-        im.recorder->deserialize(r);
-        r.expectEnd();
-    }
+    if (rng)
+        im.rng.setState(*rng);
 }
 
 void

@@ -41,6 +41,7 @@
 
 #include "core/ir/system.h"
 #include "sim/ckpt.h"
+#include "sim/engine.h"
 #include "sim/hazard.h"
 #include "sim/metrics.h"
 #include "sim/program.h"
@@ -144,14 +145,14 @@ struct SimStats {
 };
 
 /**
- * Executes one compiled System. A Simulator is the *run-time* half of
- * the compile/run split (docs/architecture.md): it owns only mutable
- * per-run state — slot store, FIFO/array storage, metrics, RNG, the
- * hazard-watchdog window — and executes an immutable sim::Program.
- * Construct once, then run(); architectural state (register arrays) is
- * inspectable before and after.
+ * Executes one compiled System: the event-driven sim::Engine. A
+ * Simulator is the *run-time* half of the compile/run split
+ * (docs/architecture.md): it owns only mutable per-run state — slot
+ * store, FIFO/array storage, metrics, RNG, the hazard-watchdog window —
+ * and executes an immutable sim::Program. Construct once, then run();
+ * the Engine surface (sim/engine.h) documents every accessor.
  */
-class Simulator {
+class Simulator final : public Engine {
   public:
     /** Convenience: compiles a private Program, then runs it. */
     explicit Simulator(const System &sys, SimOptions opts = {});
@@ -164,127 +165,46 @@ class Simulator {
      */
     explicit Simulator(std::shared_ptr<const Program> program,
                        SimOptions opts = {});
-    ~Simulator();
+    ~Simulator() override;
 
-    Simulator(const Simulator &) = delete;
-    Simulator &operator=(const Simulator &) = delete;
-
-    /**
-     * Run until finish() executes, @p max_cycles elapse, the watchdog
-     * detects a hazard, or the simulated design faults. Design-level
-     * failures (FIFO overflow under the Abort policy, assertion
-     * failure, event-counter overflow) no longer throw: they come back
-     * as RunResult::kFault with the message in RunResult::error, after
-     * the event trace and VCD have been flushed — post-mortem data
-     * survives every failure mode. The result converts to uint64_t (the
-     * cycles simulated by this call) for legacy call sites.
-     */
-    RunResult run(uint64_t max_cycles);
-
-    /** True once a finish() instruction committed. */
-    bool finished() const;
-
-    /** Cycles simulated so far. */
-    uint64_t cycle() const;
-
-    /** Read one element of a register array. */
-    uint64_t readArray(const RegArray *array, size_t index) const;
-
-    /**
-     * Every element of a register array at once: the bulk form of
-     * readArray, with the same contract (read it between run() calls or
-     * from a cycle hook). The span aliases the engine's live storage, so
-     * it reflects later commits, pokes and restore()s, and stays valid
-     * for the engine's lifetime. Element for element equal to
-     * rtl::NetlistSim::arrayView at the same cycle.
-     */
-    std::span<const uint64_t> arrayView(const RegArray *array) const;
-
-    /** Overwrite one element of a register array (testbench poke). */
-    void writeArray(const RegArray *array, size_t index, uint64_t value);
-
-    /** Current number of entries in a port's FIFO. */
-    uint64_t fifoOccupancy(const Port *port) const;
-
-    /** Read the FIFO entry @p pos slots behind the head (0 = head). */
-    uint64_t readFifo(const Port *port, size_t pos) const;
-
-    /** Overwrite a live FIFO entry (fault injection / testbench poke). */
-    void writeFifo(const Port *port, size_t pos, uint64_t value);
-
-    /** Captured log() lines, in execution order. */
-    const std::vector<std::string> &logOutput() const;
+    RunResult run(uint64_t max_cycles) override;
+    bool finished() const override;
+    uint64_t cycle() const override;
+    uint64_t readArray(const RegArray *array, size_t index) const override;
+    std::span<const uint64_t> arrayView(const RegArray *array) const override;
+    void writeArray(const RegArray *array, size_t index,
+                    uint64_t value) override;
+    uint64_t fifoOccupancy(const Port *port) const override;
+    uint64_t readFifo(const Port *port, size_t pos) const override;
+    void writeFifo(const Port *port, size_t pos, uint64_t value) override;
+    const std::vector<std::string> &logOutput() const override;
+    StageCounters stageCounters(const Module *mod) const override;
+    FifoTraffic fifoTraffic(const Port *port) const override;
+    uint64_t arrayWrites(const RegArray *array) const override;
+    void addPreCycleHook(CycleHook hook) override;
+    void addPostCycleHook(CycleHook hook) override;
+    TraceRecorder *traceRecorder() const override;
 
     /** Number of times a stage's body executed. */
     uint64_t executions(const Module *mod) const;
 
-    /**
-     * Point-in-time scheduler counters for one stage (sim/metrics.h),
-     * read from live state without folding a full MetricsRegistry. The
-     * per-cycle polling surface of the time-travel debugger
-     * (src/debug/); rtl::NetlistSim exposes the identical signature
-     * with identical values.
-     */
-    StageCounters stageCounters(const Module *mod) const;
-
-    /** Point-in-time traffic counters for one FIFO (same contract). */
-    FifoTraffic fifoTraffic(const Port *port) const;
-
-    /** Committed write count of one register array (same contract). */
-    uint64_t arrayWrites(const RegArray *array) const;
-
     /** Run statistics so far. */
     SimStats stats() const;
-
-    /**
-     * Snapshot of every performance counter and occupancy histogram
-     * (see sim/metrics.h for the key scheme). Collected continuously;
-     * may be taken mid-run or after finish. Bit-identical to the
-     * snapshot of an rtl::NetlistSim run over the same design.
-     */
-    MetricsRegistry metrics() const;
-
-    /**
-     * Serialize every piece of mutable run state into an
-     * engine-portable Snapshot (sim/ckpt.h, docs/robustness.md). Must
-     * be taken between run() calls — i.e. at a cycle boundary. A run
-     * that already ended with a watchdog verdict is not resumable and
-     * fatal()s here; take checkpoints *before* the verdict instead
-     * (runSweep's periodic checkpointing does exactly that).
-     */
-    Snapshot snapshot() const;
-
-    /**
-     * Rewind this instance to @p snap. The instance must have been
-     * built from the same design (and, for byte-identical timelines,
-     * the same timeline options); layout mismatches are structured
-     * FatalErrors. Accepts snapshots from either engine: all
-     * architectural sections are engine-independent, and the
-     * event-only shuffle RNG section is re-seeded fresh when absent.
-     * After restore, run(n) continues exactly as the checkpointed run
-     * would have — metrics, logs, traces, and timelines at cycle N are
-     * byte-identical to an uninterrupted run (tests/ckpt_test.cc).
-     */
-    void restore(const Snapshot &snap);
-
-    /**
-     * Register a hook fired before each cycle's execution phase, seeing
-     * architectural state as of the start of that cycle.
-     */
-    void addPreCycleHook(CycleHook hook);
-
-    /** Register a hook fired after each cycle's commit phase. */
-    void addPostCycleHook(CycleHook hook);
 
     /** The immutable compiled artifact this instance executes. */
     const std::shared_ptr<const Program> &program() const;
 
+  protected:
+    void exportState(MachineState &out, bool payloads) const override;
+
     /**
-     * The timeline recorder (sim/trace.h), or nullptr when
-     * SimOptions::timeline_path is empty. Exposed for dropped-span
-     * accounting in tests and for fault-injection event routing.
+     * Besides the architectural state: the ready set becomes drivers
+     * plus pending stages, idle spans re-anchor at the restore cycle,
+     * every shadow cone turns stale, and the shuffle RNG takes the
+     * "event.rng" section (keeping its constructor seed when the
+     * snapshot came from the netlist engine).
      */
-    TraceRecorder *traceRecorder() const;
+    void importState(MachineState &&state) override;
 
   private:
     struct Impl;

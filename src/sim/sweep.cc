@@ -327,24 +327,67 @@ runSweep(const std::vector<RunConfig> &configs,
     return report;
 }
 
+RunResult
+runWithCheckpoints(Engine &engine, const RunConfig &cfg)
+{
+    if (!cfg.resume_from.empty())
+        engine.restore(loadCheckpoint(cfg.resume_from));
+    const bool periodic = cfg.ckpt_every > 0 && !cfg.ckpt_path.empty();
+    RunResult res;
+    uint64_t total = 0;
+    for (;;) {
+        uint64_t at = engine.cycle();
+        uint64_t remaining =
+            cfg.max_cycles > at ? cfg.max_cycles - at : 0;
+        uint64_t slice = remaining;
+        if (periodic && cfg.ckpt_every < remaining)
+            slice = cfg.ckpt_every;
+        res = engine.run(slice);
+        total += res.cycles;
+        // Anything but a clean out-of-budget slice ends the run:
+        // finish, fault, and watchdog verdicts are terminal, and a
+        // kMaxCycles at the full budget is the caller's budget limit.
+        if (res.status != RunStatus::kMaxCycles ||
+            engine.cycle() >= cfg.max_cycles)
+            break;
+        if (periodic) {
+            saveCheckpoint(engine.snapshot(), cfg.ckpt_path);
+            if (cfg.on_checkpoint)
+                cfg.on_checkpoint(cfg.name, engine.cycle());
+        }
+    }
+    res.cycles = total;
+    return res;
+}
+
+InstanceFn
+instanceOf(const System &sys, EngineFactory make)
+{
+    const System *sp = &sys;
+    return [sp, make = std::move(make)](const RunConfig &cfg) {
+        InstanceResult out;
+        out.name = cfg.name;
+        std::unique_ptr<Engine> engine = make(cfg);
+        std::optional<FaultInjector> inj;
+        if (cfg.fault) {
+            inj.emplace(*sp, *cfg.fault);
+            inj->attach(*engine);
+        }
+        out.result = runWithCheckpoints(*engine, cfg);
+        out.end_cycle = engine->cycle();
+        out.metrics = engine->metrics();
+        out.logs = engine->logOutput();
+        return out;
+    };
+}
+
 InstanceFn
 eventInstance(std::shared_ptr<const Program> program)
 {
-    return [program](const RunConfig &cfg) {
-        InstanceResult out;
-        out.name = cfg.name;
-        Simulator sim(program, cfg.sim);
-        std::optional<FaultInjector> inj;
-        if (cfg.fault) {
-            inj.emplace(program->sys(), *cfg.fault);
-            inj.value().attach(sim);
-        }
-        out.result = runWithCheckpoints(sim, cfg);
-        out.end_cycle = sim.cycle();
-        out.metrics = sim.metrics();
-        out.logs = sim.logOutput();
-        return out;
-    };
+    const System &sys = program->sys();
+    return instanceOf(sys, [program](const RunConfig &cfg) {
+        return std::make_unique<Simulator>(program, cfg.sim);
+    });
 }
 
 } // namespace sim

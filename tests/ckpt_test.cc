@@ -11,6 +11,10 @@
  *  - the engine-independent sections of an event-engine snapshot are
  *    byte-identical to a netlist-engine snapshot of the same design at
  *    the same cycle, and each engine restores the other's snapshots;
+ *  - a CRC-valid snapshot whose sections disagree with the design
+ *    (counts, sizes, depths, occupancy, histogram buckets, meta cycle,
+ *    driver pending events) fails with the same FatalError on both
+ *    engines and leaves the restore target untouched;
  *  - the fault-tolerant runSweep overload isolates worker failures,
  *    retries from the last good periodic checkpoint, records
  *    attempt/resume counts, and degrades to a structured per-instance
@@ -407,6 +411,146 @@ TEST(CkptTest, RestoreIntoWrongDesignIsAStructuredFatal)
     auto cpu = designs::buildCpu(designs::BranchPolicy::kTaken, image);
     sim::Simulator other(*cpu.sys);
     EXPECT_THROW(other.restore(snap), FatalError);
+}
+
+// ---- Section-level restore checks, shared by both engines -------------------
+
+uint32_t
+getU32(const std::vector<uint8_t> &b, size_t off)
+{
+    uint32_t v = 0;
+    for (int i = 0; i < 4; ++i)
+        v |= uint32_t(b.at(off + i)) << (8 * i);
+    return v;
+}
+
+void
+putU32(std::vector<uint8_t> &b, size_t off, uint32_t v)
+{
+    for (int i = 0; i < 4; ++i)
+        b.at(off + i) = uint8_t(v >> (8 * i));
+}
+
+std::vector<uint8_t> &
+sectionBytes(sim::Snapshot &snap, const std::string &name)
+{
+    for (sim::SnapshotSection &sec : snap.sections)
+        if (sec.name == name)
+            return sec.bytes;
+    ADD_FAILURE() << "no section " << name;
+    return snap.sections.at(0).bytes;
+}
+
+/** The FatalError text of restoring @p snap into @p engine. */
+std::string
+restoreError(sim::Engine &engine, const sim::Snapshot &snap)
+{
+    try {
+        engine.restore(snap);
+    } catch (const FatalError &err) {
+        return err.what();
+    }
+    return "";
+}
+
+TEST(CkptTest, SectionMismatchesFailAlikeOnBothEngines)
+{
+    auto sys = buildPipe(600);
+    rtl::Netlist nl(*sys);
+    size_t driver_pos = 0;
+    while (!sys->modules()[driver_pos]->isDriver())
+        ++driver_pos;
+
+    // The pipe design has one FIFO (sink.x, depth 8). The "fifos"
+    // section opens with u32 count, u32 depth, u32 occupancy, the
+    // entries, then six u64 counters before the u32 bucket count;
+    // "mods" holds seven u64 per stage, pending first.
+    struct Row {
+        const char *what;
+        void (*mutate)(sim::Snapshot &, size_t driver_pos);
+        const char *message;
+    };
+    const Row rows[] = {
+        {"array count",
+         [](sim::Snapshot &s, size_t) {
+             putU32(sectionBytes(s, "arrays"), 0, 7);
+         },
+         "section 'arrays' carries 7 array(s)"},
+        {"array element count",
+         [](sim::Snapshot &s, size_t) {
+             putU32(sectionBytes(s, "arrays"), 4, 2);
+         },
+         "element(s) in the snapshot"},
+        {"FIFO count",
+         [](sim::Snapshot &s, size_t) {
+             putU32(sectionBytes(s, "fifos"), 0, 3);
+         },
+         "section 'fifos' carries 3 FIFO(s)"},
+        {"FIFO depth",
+         [](sim::Snapshot &s, size_t) {
+             putU32(sectionBytes(s, "fifos"), 4, 9);
+         },
+         "has depth 9 in the snapshot, 8 in the design"},
+        {"occupancy above depth",
+         [](sim::Snapshot &s, size_t) {
+             putU32(sectionBytes(s, "fifos"), 8, 9);
+         },
+         "claims occupancy 9 above depth 8"},
+        {"histogram buckets",
+         [](sim::Snapshot &s, size_t) {
+             std::vector<uint8_t> &b = sectionBytes(s, "fifos");
+             size_t off = 12 + 8 * size_t(getU32(b, 8)) + 6 * 8;
+             ASSERT_EQ(getU32(b, off), 9u);
+             putU32(b, off, 4);
+         },
+         "occupancy histogram has 4 bucket(s), expected 9"},
+        {"module count",
+         [](sim::Snapshot &s, size_t) {
+             putU32(sectionBytes(s, "mods"), 0, 5);
+         },
+         "section 'mods' carries 5 module(s)"},
+        {"meta cycle",
+         [](sim::Snapshot &s, size_t) { s.cycle += 1; },
+         "disagrees with section 'meta' cycle"},
+        {"driver pending",
+         [](sim::Snapshot &s, size_t pos) {
+             putU32(sectionBytes(s, "mods"), 4 + pos * 7 * 8, 3);
+         },
+         "has no event counter but the snapshot claims 3 pending"},
+    };
+
+    sim::Simulator es(*sys);
+    ASSERT_EQ(es.run(250).status, sim::RunStatus::kMaxCycles);
+    rtl::NetlistSim rs(nl);
+    ASSERT_EQ(rs.run(250).status, sim::RunStatus::kMaxCycles);
+    for (const sim::Snapshot &good : {es.snapshot(), rs.snapshot()}) {
+        for (const Row &row : rows) {
+            std::string label = good.engine + " snapshot, " + row.what;
+            sim::Snapshot bad = good;
+            row.mutate(bad, driver_pos);
+            // Framing and CRCs stay valid: only the design checks of
+            // the engine codec can reject this snapshot.
+            std::vector<uint8_t> blob = sim::encodeSnapshot(bad);
+            bad = sim::decodeSnapshot(blob.data(), blob.size());
+
+            sim::Simulator event_target(*sys);
+            rtl::NetlistSim netlist_target(nl);
+            std::string errors[2];
+            sim::Engine *targets[2] = {&event_target, &netlist_target};
+            for (int t = 0; t < 2; ++t) {
+                std::vector<uint8_t> before =
+                    sim::encodeSnapshot(targets[t]->snapshot());
+                errors[t] = restoreError(*targets[t], bad);
+                // A rejected snapshot leaves the target untouched.
+                EXPECT_EQ(sim::encodeSnapshot(targets[t]->snapshot()),
+                          before)
+                    << label << " into " << targets[t]->kind();
+            }
+            EXPECT_NE(errors[0].find(row.message), std::string::npos)
+                << label << ": " << errors[0];
+            EXPECT_EQ(errors[0], errors[1]) << label;
+        }
+    }
 }
 
 // ---- Fault-tolerant sweeps --------------------------------------------------

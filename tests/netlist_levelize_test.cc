@@ -82,8 +82,9 @@ TEST(NetlistLevelizeTest, ElaborationIsLevelizedWithCones)
     for (size_t i = 0; i < nl.cells().size(); ++i)
         producer[nl.cells()[i].out] = static_cast<uint32_t>(i);
     auto check = [&](uint32_t n, size_t i) {
-        if (producer[n] != kNone)
+        if (producer[n] != kNone) {
             EXPECT_LT(producer[n], i) << "net " << nl.netName(n);
+        }
     };
     for (size_t i = 0; i < nl.cells().size(); ++i) {
         const rtl::Cell &c = nl.cells()[i];
