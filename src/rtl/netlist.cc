@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "core/compiler/walk.h"
+#include "support/bits.h"
 #include "support/logging.h"
 #include "support/profiler.h"
 
@@ -37,6 +38,103 @@ forEachCellInput(const Cell &cell, F &&fn)
         fn(cell.a);
         break;
     }
+}
+
+/** Lower one cell to its pre-decoded tape step. */
+TapeStep
+lowerCell(const Cell &cell)
+{
+    TapeStep s;
+    s.a = cell.a;
+    s.b = cell.b;
+    s.out = cell.out;
+    s.u.mask = maskBits(cell.bits);
+    switch (cell.op) {
+      case CellOp::kBin: {
+        const bool sgn = cell.sgn;
+        const uint8_t x8 = sextShift(cell.opnd_bits);
+        switch (static_cast<BinOpcode>(cell.sub)) {
+          case BinOpcode::kAdd: s.op = TapeOp::kAdd; break;
+          case BinOpcode::kSub: s.op = TapeOp::kSub; break;
+          case BinOpcode::kMul: s.op = TapeOp::kMul; break;
+          case BinOpcode::kAnd: s.op = TapeOp::kAnd; break;
+          case BinOpcode::kOr:  s.op = TapeOp::kOr; break;
+          case BinOpcode::kXor: s.op = TapeOp::kXor; break;
+          case BinOpcode::kShl: s.op = TapeOp::kShl; break;
+          case BinOpcode::kShr:
+            s.op = sgn ? TapeOp::kShrS : TapeOp::kShrU;
+            s.x8 = x8;
+            break;
+          case BinOpcode::kEq: s.op = TapeOp::kEq; break;
+          case BinOpcode::kNe: s.op = TapeOp::kNe; break;
+          case BinOpcode::kLt:
+            s.op = sgn ? TapeOp::kLtS : TapeOp::kLtU;
+            s.x8 = x8;
+            break;
+          case BinOpcode::kLe:
+            s.op = sgn ? TapeOp::kLeS : TapeOp::kLeU;
+            s.x8 = x8;
+            break;
+          case BinOpcode::kGt:
+            s.op = sgn ? TapeOp::kGtS : TapeOp::kGtU;
+            s.x8 = x8;
+            break;
+          case BinOpcode::kGe:
+            s.op = sgn ? TapeOp::kGeS : TapeOp::kGeU;
+            s.x8 = x8;
+            break;
+          case BinOpcode::kDiv:
+          case BinOpcode::kMod:
+            // Rare ops keep the shared ops::evalBin semantics
+            // (div-by-zero, INT_MIN edge cases), as the event tape's
+            // kBinGeneric does.
+            s.op = TapeOp::kBinGeneric;
+            s.x8 = cell.sub;
+            s.x16 = sgn ? 1 : 0;
+            s.u.ca.c = cell.opnd_bits;
+            s.u.ca.aux = cell.bits;
+            break;
+        }
+        break;
+      }
+      case CellOp::kUn:
+        switch (static_cast<UnOpcode>(cell.sub)) {
+          case UnOpcode::kNot: s.op = TapeOp::kNot; break;
+          case UnOpcode::kNeg: s.op = TapeOp::kNeg; break;
+          case UnOpcode::kRedOr: s.op = TapeOp::kRedOr; break;
+          case UnOpcode::kRedAnd:
+            s.op = TapeOp::kRedAnd;
+            s.u.mask = maskBits(cell.opnd_bits);
+            break;
+        }
+        break;
+      case CellOp::kSlice:
+        s.op = TapeOp::kSlice;
+        s.x8 = uint8_t(cell.c_imm);
+        s.u.mask = maskBits(cell.b_imm - cell.c_imm + 1);
+        break;
+      case CellOp::kConcat:
+        s.op = TapeOp::kConcat;
+        s.x8 = uint8_t(cell.c_imm);
+        break;
+      case CellOp::kMux:
+        s.op = TapeOp::kMux;
+        s.u.ca.c = cell.c;
+        break;
+      case CellOp::kCast:
+        if (static_cast<Cast::Mode>(cell.sub) == Cast::Mode::kSExt) {
+            s.op = TapeOp::kSExt;
+            s.x8 = sextShift(cell.opnd_bits);
+        } else {
+            s.op = TapeOp::kMask;
+        }
+        break;
+      case CellOp::kArrayRead:
+        s.op = TapeOp::kArrayRead;
+        s.b = cell.aux;
+        break;
+    }
+    return s;
 }
 
 } // namespace
@@ -459,6 +557,16 @@ void
 Netlist::finalize()
 {
     HostProfiler::Scope prof_span("Netlist::finalize");
+    levelize();
+    tape_.clear();
+    tape_.reserve(cells_.size());
+    for (const Cell &cell : cells_)
+        tape_.push_back(lowerCell(cell));
+}
+
+void
+Netlist::levelize()
+{
     comb_cycle_.clear();
     constexpr uint32_t kNoCell = 0xffffffffu;
     std::vector<uint32_t> producer(net_bits_.size(), kNoCell);

@@ -24,14 +24,20 @@
  * Verilator stand-in), the synthesis area model, and the SystemVerilog
  * emitter.
  *
+ * Finalization also lowers the levelized cells into a flat tape of
+ * 24-byte pre-decoded steps (tape()), one opcode per operator variant
+ * with its masks and sign-extension shifts precomputed; that tape is
+ * what the netlist simulator executes.
+ *
  * Thread-safety contract (the RTL half of the compile/run split,
  * docs/architecture.md): a Netlist is immutable after construction —
  * finalize() runs inside the constructor, there are no mutable members
- * and no lazily-initialized caches — so one `const Netlist` may back
- * any number of concurrent rtl::NetlistSim instances, each of which
- * owns all of its run-time state (net values, FIFO/array storage,
- * counters; see netlist_sim.cc). The referenced System must outlive the
- * Netlist. tests/parallel_determinism_test.cc pins the guarantee.
+ * and no lazily-initialized caches (the tape included) — so one
+ * `const Netlist` may back any number of concurrent rtl::NetlistSim
+ * instances, each of which owns all of its run-time state (net values,
+ * FIFO/array storage, counters; see netlist_sim.cc). The referenced
+ * System must outlive the Netlist. tests/parallel_determinism_test.cc
+ * pins the guarantee.
  */
 #pragma once
 
@@ -81,6 +87,67 @@ struct Cell {
     const Module *origin = nullptr;
     OriginTag tag = OriginTag::kFunc;
 };
+
+/**
+ * Opcode of one pre-decoded tape step (Netlist::tape()): one per
+ * (CellOp x sub-opcode x signedness), so the simulator dispatches once
+ * per cell. Same x8 conventions as sim::DOp's namesakes.
+ */
+enum class TapeOp : uint8_t {
+    kAnd, ///< (a & b) & u.mask
+    kOr,
+    kXor,
+    kAdd,
+    kSub,
+    kMul,
+    kShl,  ///< shift amount from net b, >= 64 flushes to 0
+    kShrU,
+    kShrS, ///< x8 = 64 - opnd_bits (0 when opnd_bits is 0 or >= 64)
+    // Comparisons produce a bare 0/1; signed variants sign-extend both
+    // operands with the x8 shift pair.
+    kEq,
+    kNe,
+    kLtU,
+    kLeU,
+    kGtU,
+    kGeU,
+    kLtS,
+    kLeS,
+    kGtS,
+    kGeS,
+    kNot,
+    kNeg,
+    kRedOr,
+    kRedAnd, ///< u.mask = maskBits(opnd_bits); result = (a == mask)
+    kMask,   ///< zext/trunc/bitcast: a & u.mask
+    kSExt,   ///< x8 = 64 - src_bits; sign-extend then & u.mask
+    kSlice,  ///< x8 = lo, u.mask = maskBits(hi - lo + 1)
+    kConcat, ///< x8 = lsb_bits; ((a << x8) | b) & u.mask
+    kMux,    ///< a ? b : u.ca.c
+    kArrayRead, ///< array b word [a], 0 when a is out of range
+    kBinGeneric, ///< div/mod via ops::evalBin; x8 = BinOpcode,
+                 ///< x16 = sgn, u.ca.c = opnd_bits, u.ca.aux = out_bits
+    kCount, ///< number of opcodes (not an opcode)
+};
+
+/** One cell lowered to a 24-byte tape step; `out` is the written net. */
+struct TapeStep {
+    TapeOp op = TapeOp::kMask;
+    uint8_t x8 = 0;   ///< sign-extension shift / slice lo / lsb width
+    uint16_t x16 = 0; ///< generic step's signedness
+    uint32_t a = 0;
+    uint32_t b = 0;
+    uint32_t out = 0;
+    union U {
+        uint64_t mask; ///< precomputed output mask
+        struct CA {
+            uint32_t c;   ///< mux third operand / generic opnd_bits
+            uint32_t aux; ///< generic out_bits
+        } ca;
+    } u{0};
+};
+
+static_assert(sizeof(TapeStep) == 24, "TapeStep must stay 24 bytes");
 
 /** Sentinel for "this optional net was not allocated". */
 inline constexpr uint32_t kNoNet = 0xffffffffu;
@@ -176,6 +243,13 @@ class Netlist {
     const std::map<uint32_t, uint64_t> &constNets() const { return consts_; }
 
     const std::vector<Cell> &cells() const { return cells_; }
+
+    /**
+     * The cells lowered, in the same (levelized) order, to pre-decoded
+     * steps: step i computes cells()[i]. Built once by finalize(); the
+     * simulator evaluates this tape and never reads cells() at run time.
+     */
+    const std::vector<TapeStep> &tape() const { return tape_; }
     const std::vector<FifoBlock> &fifos() const { return fifos_; }
     const std::vector<ArrayBlock> &arrays() const { return arrays_; }
     const std::vector<CounterBlock> &counters() const { return counters_; }
@@ -228,9 +302,11 @@ class Netlist {
     /**
      * Levelization: verify the cell list is topologically ordered,
      * reorder it if not, record a structured diagnostic on a residual
-     * cycle, and compute the cones' external inputs.
+     * cycle, and compute the cones' external inputs. Then lower the
+     * final cell order into tape().
      */
     void finalize();
+    void levelize();
 
     const System *sys_;
     sim::HazardAnalyzer analyzer_;
@@ -238,6 +314,7 @@ class Netlist {
     std::vector<std::string> net_names_;
     std::map<uint32_t, uint64_t> consts_;
     std::vector<Cell> cells_;
+    std::vector<TapeStep> tape_;
     std::vector<FifoBlock> fifos_;
     std::vector<ArrayBlock> arrays_;
     std::vector<CounterBlock> counters_;

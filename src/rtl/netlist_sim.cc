@@ -54,6 +54,93 @@ struct ConeRt {
     std::vector<uint64_t> aver; ///< read-array versions at last evaluation
 };
 
+/**
+ * The netlist's evaluation kernel: one dense dispatch per pre-decoded
+ * step of [@p s, @p e), each writing its output net. Kept out of line
+ * so that edits elsewhere in this file cannot reshape its code.
+ */
+[[gnu::noinline]] void
+evalTape(const TapeStep *s, const TapeStep *const e, uint64_t *const ns,
+         const std::vector<uint64_t> *const arrays)
+{
+    for (; s != e; ++s) {
+        uint64_t v = 0;
+        switch (s->op) {
+          case TapeOp::kAnd: v = (ns[s->a] & ns[s->b]) & s->u.mask; break;
+          case TapeOp::kOr:  v = (ns[s->a] | ns[s->b]) & s->u.mask; break;
+          case TapeOp::kXor: v = (ns[s->a] ^ ns[s->b]) & s->u.mask; break;
+          case TapeOp::kAdd: v = (ns[s->a] + ns[s->b]) & s->u.mask; break;
+          case TapeOp::kSub: v = (ns[s->a] - ns[s->b]) & s->u.mask; break;
+          case TapeOp::kMul: v = (ns[s->a] * ns[s->b]) & s->u.mask; break;
+          case TapeOp::kShl: {
+            uint64_t sh = ns[s->b];
+            v = (sh >= 64 ? 0 : ns[s->a] << sh) & s->u.mask;
+            break;
+          }
+          case TapeOp::kShrU: {
+            uint64_t sh = ns[s->b];
+            v = (sh >= 64 ? 0 : ns[s->a] >> sh) & s->u.mask;
+            break;
+          }
+          case TapeOp::kShrS: {
+            int64_t sa = int64_t(ns[s->a] << s->x8) >> s->x8;
+            uint64_t sh = ns[s->b];
+            v = uint64_t(sh >= 64 ? (sa < 0 ? -1 : 0) : sa >> sh) &
+                s->u.mask;
+            break;
+          }
+          case TapeOp::kEq: v = ns[s->a] == ns[s->b]; break;
+          case TapeOp::kNe: v = ns[s->a] != ns[s->b]; break;
+          case TapeOp::kLtU: v = ns[s->a] < ns[s->b]; break;
+          case TapeOp::kLeU: v = ns[s->a] <= ns[s->b]; break;
+          case TapeOp::kGtU: v = ns[s->a] > ns[s->b]; break;
+          case TapeOp::kGeU: v = ns[s->a] >= ns[s->b]; break;
+          case TapeOp::kLtS:
+            v = (int64_t(ns[s->a] << s->x8) >> s->x8) <
+                (int64_t(ns[s->b] << s->x8) >> s->x8);
+            break;
+          case TapeOp::kLeS:
+            v = (int64_t(ns[s->a] << s->x8) >> s->x8) <=
+                (int64_t(ns[s->b] << s->x8) >> s->x8);
+            break;
+          case TapeOp::kGtS:
+            v = (int64_t(ns[s->a] << s->x8) >> s->x8) >
+                (int64_t(ns[s->b] << s->x8) >> s->x8);
+            break;
+          case TapeOp::kGeS:
+            v = (int64_t(ns[s->a] << s->x8) >> s->x8) >=
+                (int64_t(ns[s->b] << s->x8) >> s->x8);
+            break;
+          case TapeOp::kNot: v = ~ns[s->a] & s->u.mask; break;
+          case TapeOp::kNeg: v = (~ns[s->a] + 1) & s->u.mask; break;
+          case TapeOp::kRedOr: v = ns[s->a] != 0; break;
+          case TapeOp::kRedAnd: v = ns[s->a] == s->u.mask; break;
+          case TapeOp::kMask: v = ns[s->a] & s->u.mask; break;
+          case TapeOp::kSExt:
+            v = uint64_t(int64_t(ns[s->a] << s->x8) >> s->x8) & s->u.mask;
+            break;
+          case TapeOp::kSlice: v = (ns[s->a] >> s->x8) & s->u.mask; break;
+          case TapeOp::kConcat:
+            v = ((ns[s->a] << s->x8) | ns[s->b]) & s->u.mask;
+            break;
+          case TapeOp::kMux: v = ns[s->a] ? ns[s->b] : ns[s->u.ca.c]; break;
+          case TapeOp::kArrayRead: {
+            const std::vector<uint64_t> &data = arrays[s->b];
+            uint64_t idx = ns[s->a];
+            v = idx < data.size() ? data[idx] : 0;
+            break;
+          }
+          case TapeOp::kBinGeneric:
+            v = ops::evalBin(static_cast<BinOpcode>(s->x8), ns[s->a],
+                             ns[s->b], s->u.ca.c, s->x16 != 0, s->u.ca.aux);
+            break;
+          case TapeOp::kCount:
+            break;
+        }
+        ns[s->out] = v;
+    }
+}
+
 } // namespace
 
 struct NetlistSim::Impl {
@@ -103,6 +190,7 @@ struct NetlistSim::Impl {
     HookList post_hooks;
 
     std::unique_ptr<sim::TraceRecorder> recorder;
+    NetlistStats stats; ///< per-object work counters, never snapshotted
 
     Impl(const Netlist &n, NetlistSimOptions o)
         : nl(n), opts(o), analyzer(n.analyzer())
@@ -160,48 +248,13 @@ struct NetlistSim::Impl {
             recorder->finish(cycle);
     }
 
-    /** One pass over the levelized cells [@p begin, @p end). */
+    /** One pass over the tape steps [@p begin, @p end). */
     void
     evalRange(uint32_t begin, uint32_t end)
     {
-        const Cell *cells = nl.cells().data();
-        uint64_t *ns = nets.data();
-        for (uint32_t i = begin; i < end; ++i) {
-            const Cell &cell = cells[i];
-            uint64_t v = 0;
-            switch (cell.op) {
-              case CellOp::kBin:
-                v = ops::evalBin(static_cast<BinOpcode>(cell.sub),
-                                 ns[cell.a], ns[cell.b], cell.opnd_bits,
-                                 cell.sgn, cell.bits);
-                break;
-              case CellOp::kUn:
-                v = ops::evalUn(static_cast<UnOpcode>(cell.sub),
-                                ns[cell.a], cell.opnd_bits, cell.bits);
-                break;
-              case CellOp::kSlice:
-                v = ops::evalSlice(ns[cell.a], cell.b_imm, cell.c_imm);
-                break;
-              case CellOp::kConcat:
-                v = ops::evalConcat(ns[cell.a], ns[cell.b], cell.c_imm,
-                                    cell.bits);
-                break;
-              case CellOp::kMux:
-                v = ns[cell.a] ? ns[cell.b] : ns[cell.c];
-                break;
-              case CellOp::kCast:
-                v = ops::evalCast(static_cast<Cast::Mode>(cell.sub),
-                                  ns[cell.a], cell.opnd_bits, cell.bits);
-                break;
-              case CellOp::kArrayRead: {
-                const auto &data = arrays[cell.aux];
-                uint64_t idx = ns[cell.a];
-                v = idx < data.size() ? data[idx] : 0;
-                break;
-              }
-            }
-            ns[cell.out] = v;
-        }
+        const TapeStep *tape = nl.tape().data();
+        evalTape(tape + begin, tape + end, nets.data(), arrays.data());
+        stats.cells_evaluated += end - begin;
     }
 
     /**
@@ -219,8 +272,8 @@ struct NetlistSim::Impl {
         const auto &cones = nl.cones();
         if (cones.empty()) {
             // Reordered (non-creation-order) netlist: no cone ranges;
-            // evaluate the full levelized list.
-            evalRange(0, static_cast<uint32_t>(nl.cells().size()));
+            // evaluate the full levelized tape.
+            evalRange(0, static_cast<uint32_t>(nl.tape().size()));
             return;
         }
         for (size_t c = 0; c < cones.size(); ++c) {
@@ -242,9 +295,12 @@ struct NetlistSim::Impl {
                         }
                     }
                 }
-                if (same)
+                if (same) {
+                    ++stats.cones_skipped;
                     continue; // outputs already correct
+                }
             }
+            ++stats.cones_evaluated;
             evalRange(cone.begin, cone.end);
             rt.valid = true;
             for (size_t k = 0; k < cone.inputs.size(); ++k)
@@ -273,9 +329,10 @@ struct NetlistSim::Impl {
         for (size_t i = 0; i < counters.size(); ++i)
             nets[nl.counters()[i].nonzero] = counters[i] > 0;
 
-        // Single-pass combinational evaluation over the levelized cells
+        // Single-pass combinational evaluation over the levelized tape
         // (with per-stage activity gating) — the precompiled static
         // schedule that replaces the old sweep-until-settled loop.
+        ++stats.cycles;
         evalCells();
 
         // Per-stage accounting, from the settled exec_valid nets. This
@@ -707,6 +764,12 @@ uint64_t
 NetlistSim::netValue(uint32_t net) const
 {
     return impl_->nets.at(net);
+}
+
+NetlistStats
+NetlistSim::stats() const
+{
+    return impl_->stats;
 }
 
 sim::StageCounters

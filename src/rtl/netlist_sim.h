@@ -3,15 +3,17 @@
  * The RTL-level cycle simulator: this repo's stand-in for Verilator.
  *
  * Unlike the event-driven simulator (src/sim), which lowers each stage
- * to a bytecode tape, this simulator executes the elaborated netlist's
- * cells, then commits every sequential block — the cost structure of an
- * RTL simulator. The netlist is levelized once at elaboration, so each
- * cycle is exactly one pass over the cell list (no settle loop), with
- * per-stage activity gating skipping cones whose inputs are unchanged
- * (docs/performance.md). The paper's Q5 speedup (2.2-8.1x) comes from
- * the backends' remaining cost difference, and its Q5 alignment claim
- * is validated by running one design through both engines and comparing
- * cycle counts, committed state, and log output byte for byte.
+ * to a fused bytecode tape, this simulator evaluates every one of the
+ * elaborated netlist's cells, then commits every sequential block — the
+ * cost structure of an RTL simulator. The netlist is levelized and
+ * lowered to a pre-decoded cell tape once at elaboration
+ * (Netlist::tape()), so each cycle is exactly one pass over that tape
+ * (no settle loop), with per-stage activity gating skipping cones whose
+ * inputs are unchanged (docs/performance.md). The paper's Q5 speedup
+ * (2.2-8.1x) comes from the backends' remaining cost difference, and its
+ * Q5 alignment claim is validated by running one design through both
+ * engines and comparing cycle counts, committed state, and log output
+ * byte for byte.
  */
 #pragma once
 
@@ -46,6 +48,20 @@ struct NetlistSimOptions {
     uint64_t watchdog_window = 1024;
     std::string timeline_path;
     size_t timeline_events = size_t(1) << 20;
+};
+
+/**
+ * Work counters of one NetlistSim object, mirroring sim::SimStats.
+ * They count what this object evaluated: a restore neither rewinds nor
+ * rewrites them, and they are not part of metrics() or snapshots (the
+ * event engine has no cones). Exact, so they repeat bit for bit on a
+ * rerun.
+ */
+struct NetlistStats {
+    uint64_t cycles = 0;          ///< cycles stepped by this object
+    uint64_t cones_evaluated = 0; ///< cone ranges evaluated
+    uint64_t cones_skipped = 0;   ///< cone ranges skipped by gating
+    uint64_t cells_evaluated = 0; ///< tape steps executed
 };
 
 /**
@@ -84,6 +100,9 @@ class NetlistSim final : public sim::Engine {
 
     /** Current value of a net (post the last evaluated cycle). */
     uint64_t netValue(uint32_t net) const;
+
+    /** Work counters of this object's runs so far. */
+    NetlistStats stats() const;
 
   protected:
     /**

@@ -18,13 +18,6 @@ namespace {
 /** Test instrumentation: one increment per Program compilation. */
 std::atomic<uint64_t> compile_count{0};
 
-/** Shift pair turning `(x << sh) >> sh` into signExtend(x, bits). */
-uint8_t
-sextShift(unsigned bits)
-{
-    return (bits == 0 || bits >= 64) ? 0 : uint8_t(64 - bits);
-}
-
 } // namespace
 
 /**

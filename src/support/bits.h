@@ -38,6 +38,16 @@ signExtend(uint64_t value, unsigned bits)
     return static_cast<int64_t>((masked ^ sign) - sign);
 }
 
+/**
+ * Shift pair turning `int64_t(x << sh) >> sh` into signExtend(x, bits):
+ * the `x8` field of both engines' tape steps.
+ */
+inline constexpr uint8_t
+sextShift(unsigned bits)
+{
+    return (bits == 0 || bits >= 64) ? 0 : uint8_t(64 - bits);
+}
+
 /** Extract bits [lo, hi] (inclusive, hi >= lo) of @p value. */
 inline constexpr uint64_t
 extractBits(uint64_t value, unsigned hi, unsigned lo)

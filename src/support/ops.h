@@ -2,13 +2,15 @@
  * @file
  * The single definition of Assassyn's scalar operator semantics.
  *
- * Every engine that evaluates IR operators — the event-driven simulator
- * VM (sim/simulator.cc), the levelized netlist executor
- * (rtl/netlist_sim.cc), and the compiler's constant folder
- * (core/compiler/fold.cc) — calls these functions. Keeping exactly
- * one definition is what upholds the paper's cycle-alignment guarantee:
- * an edit to, say, the division-by-zero contract lands in every backend
- * at once instead of silently desynchronizing them
+ * The compiler's constant folder (core/compiler/fold.cc) and the event
+ * tape compiler (sim/program.cc) call these functions, and both tape
+ * kernels (sim/simulator.cc, rtl/netlist_sim.cc) call evalBin for
+ * division and remainder. Their other opcodes are these functions with
+ * masks and shifts precomputed, pinned against them by
+ * tests/netlist_tape_test.cc and the op-semantics suites. Keeping
+ * exactly one definition is what upholds the paper's cycle-alignment
+ * guarantee: an edit to, say, the division-by-zero contract lands in
+ * every backend at once instead of silently desynchronizing them
  * (tests/ops_cross_check_test.cc pins this with an exhaustive
  * randomized sweep over all opcodes × widths 1–64 × signedness).
  *

@@ -22,6 +22,7 @@ namespace assassyn {
 namespace {
 
 using i128 = __int128;
+using u128 = unsigned __int128;
 
 bool
 isCmp(BinOpcode op)
@@ -46,7 +47,11 @@ refBin(BinOpcode op, uint64_t a, uint64_t b, unsigned bits, bool sgn,
     switch (op) {
       case BinOpcode::kAdd: r = A + B; break;
       case BinOpcode::kSub: r = A - B; break;
-      case BinOpcode::kMul: r = A * B; break;
+      case BinOpcode::kMul:
+        // Unsigned, so two 64-bit all-ones operands cannot overflow;
+        // the low 64 bits, all that is compared, are the same.
+        r = i128(u128(A) * u128(B));
+        break;
       case BinOpcode::kDiv:
         // RISC-V contract: x / 0 is all-ones. INT_MIN / -1 cannot
         // overflow in 128 bits, so no special case is needed here.
